@@ -24,6 +24,7 @@ verify-quick:
 	go vet ./...
 	go build ./...
 	go test -short -timeout 15m ./...
+	cd bench && go test -short -timeout 10m .
 
 bench:
 	go test -bench=. -benchmem -run '^$$' .

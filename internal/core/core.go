@@ -76,8 +76,8 @@ type Exec struct {
 	// noBitplane selects the legacy int-GEMM predictor and scalar sparse
 	// executor instead of the bitplane kernels (benchmarks, ablation).
 	noBitplane bool
-	// workers caps result-generation parallelism; 0 means the full
-	// shared pool, 1 forces serial execution.
+	// workers caps result-generation parallelism (sample or outC
+	// fan-out); 0 means the full shared pool, 1 forces serial execution.
 	workers int
 
 	quant.Profiler
@@ -131,7 +131,10 @@ func WithoutWeightCache() Option {
 }
 
 // WithWorkers caps the result-generation parallelism at n goroutines
-// (1 = serial; 0 / unset = the full shared pool).
+// (1 = serial; 0 / unset = the full shared pool). The cap applies to
+// whichever fan-out the default executor picks for a call: over samples
+// when the batch has at least as many samples as the shared pool has
+// workers, over output channels within each sample otherwise.
 func WithWorkers(n int) Option {
 	return func(e *Exec) { e.workers = n }
 }
@@ -220,7 +223,8 @@ func (e *Exec) lowBits() int { return e.bits - e.predBits }
 
 // weightCodes bundles a layer's cached high/low weight-code split with the
 // bit-planar forms the default kernels consume (one row per output
-// channel, InC·K·K lanes). The bitplanes are skipped on the legacy and
+// channel, InC·K·K lanes in the (kh, kw, c) order of
+// tensor.PackConvRows). The bitplanes are skipped on the legacy and
 // dense paths, which read the row-major int32 codes directly; the
 // high-density executor branch also reads the row-major codes, as the A
 // operand of its wide int-GEMM partials.
@@ -234,12 +238,12 @@ func (e *Exec) buildWeightCodes(layer *nn.Conv2D) *weightCodes {
 	hi, lo := quant.SplitCodesRounded(q, e.lowBits(), true)
 	wc := &weightCodes{hi: hi, lo: lo}
 	if !e.dense && !e.noBitplane {
-		outC := hi.Shape[0]
-		lanes := hi.Shape[1] * hi.Shape[2] * hi.Shape[3]
+		outC, inC, k := hi.Shape[0], hi.Shape[1], hi.Shape[2]
+		lanes := inC * k * k
 		wc.hiBP = tensor.NewBitplanes(outC, lanes, hi.Bits, true)
-		wc.hiBP.PackRows(hi.Data)
+		wc.hiBP.PackConvWeights(hi.Data, inC, k)
 		wc.loBP = tensor.NewBitplanes(outC, lanes, lo.Bits, true)
-		wc.loBP.PackRows(lo.Data)
+		wc.loBP.PackConvWeights(lo.Data, inC, k)
 	}
 	return wc
 }
@@ -322,8 +326,9 @@ func fuse(pred, hl, lh, ll int64, predScale, sHL, sLH, sLL float32) float32 {
 // Conv implements nn.ConvExecutor: sensitivity prediction over the
 // high-order parts followed by result generation for sensitive outputs.
 func (e *Exec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
-	qx := quant.ActCodes(x, e.bits)
+	qx := quant.ActCodesInto(tensor.GetInt32(len(x.Data)), x, e.bits)
 	out, _ := e.convQ(qx, layer, nil, x)
+	tensor.PutInt32(qx.Data)
 	return out
 }
 
@@ -332,13 +337,15 @@ func (e *Exec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
 // applied — nn.Conv2D.Forward adds it, as before). With an epilogue it
 // returns packed INT4 codes of the requantized activation instead, and no
 // float tensor is materialized on the default path. xRef, when non-nil, is
-// the original float input used for precision-loss collection.
+// the original float input used for precision-loss collection. qx stays
+// the caller's; the code splits and the mask live in pooled scratch.
 func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef *tensor.Tensor) (*tensor.Tensor, *tensor.PackedI4) {
 	spConv := telemetry.StartSpan("odq.conv")
 	defer spConv.End()
 	mODQConvs.Inc()
 	n := qx.Shape[0]
-	xh, xl := quant.SplitCodesRounded(qx, e.lowBits(), false)
+	xh, xl := quant.SplitCodesRoundedInto(tensor.GetInt32(len(qx.Data)), tensor.GetInt32(len(qx.Data)),
+		qx, e.lowBits(), false)
 	wc := e.weights(layer)
 	wh, wl := wc.hi, wc.lo
 
@@ -354,7 +361,7 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef
 	sLH := xl.Scale * wh.Scale
 	sLL := xl.Scale * wl.Scale
 
-	mask := make([]bool, total)
+	mask := tensor.GetBool(total)
 	var ev *epiEval
 	var codes []uint8
 	if epi != nil {
@@ -412,10 +419,13 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef
 		TotalMACs:        int64(n) * g.TotalMACs(),
 		Mask:             mask,
 	})
+	tensor.PutBool(mask)
 
 	if e.collectPrecision && xRef != nil && epi == nil {
 		e.collectPrecisionLoss(xRef, out, layer, g)
 	}
+	tensor.PutInt32(xh.Data)
+	tensor.PutInt32(xl.Data)
 	var packed *tensor.PackedI4
 	if epi != nil {
 		packed = tensor.NewPackedI4(n, g.OutC, g.OutH, g.OutW)
@@ -452,9 +462,7 @@ func (e *Exec) maskSample(seg []int64, mseg []bool, predScale, th float32) {
 		if v < 0 {
 			v = -v
 		}
-		if v >= cut {
-			mseg[i] = true
-		}
+		mseg[i] = v >= cut
 	}
 	if e.collectDist {
 		e.sampleDist(seg, predScale, float32(meanAbs))
@@ -471,18 +479,25 @@ func (e *Exec) maskSample(seg []int64, mseg []bool, predScale, th float32) {
 const bitplaneGEMMCutover = 0.45
 
 // resultBitplane is the default execution path: per sample, the high
-// activation codes are gathered receptive-field-at-a-time and bitplane-
-// packed in one pass (no transposed im2col matrix is ever materialized),
-// the sensitivity predictor runs as AND+POPCNT row products
-// (tensor.BitplaneMulRow), and the executor computes the three remaining
-// partials only as directed by the realized mask — fused per-output
-// bitplane dots (tensor.BitplaneDot3) at low density, wide int-GEMM
-// partials (weight codes × im2col, the same orientation the dense path
-// uses) above bitplaneGEMMCutover. Exact integer arithmetic end to end
-// keeps it bit-identical to the int-GEMM paths; the shared fuse() keeps
-// the float combination identical. Writes requantized codes directly
-// when ev is non-nil (fused epilogue), float partial sums into out
-// otherwise. Returns the sensitive count.
+// activation codes are bitplane-packed straight from the [C,H,W] codes
+// (tensor.PackConvRows: one C-bit chunk per input pixel, rows assembled
+// by shift/OR; no im2col matrix is ever materialized), the sensitivity
+// predictor runs as AND+POPCNT row products (tensor.BitplaneMulRow), and
+// the executor computes the three remaining partials only as directed by
+// the realized mask — fused per-output bitplane dots
+// (tensor.BitplaneDot3) at low density, wide int-GEMM partials (weight
+// codes × im2col, the same orientation the dense path uses) above
+// bitplaneGEMMCutover. Exact integer arithmetic end to end keeps it
+// bit-identical to the int-GEMM paths; the shared fuse() keeps the float
+// combination identical. Writes requantized codes directly when ev is
+// non-nil (fused epilogue), float partial sums into out otherwise.
+// Returns the sensitive count.
+//
+// A batch with at least as many samples as the shared pool has workers
+// runs one pool task per sample, each with its own scratch and serial
+// per-outC loops; smaller batches run their samples in turn and fan each
+// one out over output channels. Either way e.workers caps the fan-out,
+// and every output is written by exactly one task.
 func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, mask []bool,
 	xh, xl *tensor.IntTensor, wc *weightCodes, g tensor.ConvGeom,
 	predScale, th, sHL, sLH, sLL float32) int64 {
@@ -494,61 +509,38 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 	outC := g.OutC
 	whBP, wlBP := wc.hiBP, wc.loBP
 
-	predAcc := tensor.GetInt64(perSample)
-	xhBP := &tensor.Bitplanes{R: cols, L: rows, P: xh.Bits, W: tensor.BitplaneWords(rows),
-		Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, xh.Bits))}
-
-	// Executor scratch, allocated lazily: the bitplane branch needs the
-	// packed low codes, the GEMM branch an im2col column matrix plus
-	// three accumulator planes. A forward whose samples all land on one
-	// side never pays for the other.
-	var colBuf []int32
-	var xlBP *tensor.Bitplanes
-	var hlAcc, lhAcc, llAcc []int64
-
-	var sensitive int64
-	for s := 0; s < n; s++ {
+	// sample runs one sample end to end with its outC loops capped at
+	// inner workers and returns its sensitive count.
+	sample := func(s, inner int) int64 {
 		spPred := telemetry.StartSpan("odq.predictor")
-		tensor.Im2colIntTPack(xh.Data[s*per:(s+1)*per], g, nil, xhBP)
-		pool.ParallelLimited(e.workers, outC, func(oc int) {
+		predAcc := tensor.GetInt64(perSample)
+		xhBP := &tensor.Bitplanes{R: cols, L: rows, P: xh.Bits, W: tensor.BitplaneWords(rows),
+			Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, xh.Bits))}
+		tensor.PackConvRows(xh.Data[s*per:(s+1)*per], g, xhBP)
+		pool.ParallelLimited(inner, outC, func(oc int) {
 			tensor.BitplaneMulRow(predAcc[oc*cols:(oc+1)*cols], whBP, oc, xhBP)
 		})
 		mseg := mask[s*perSample : (s+1)*perSample]
 		e.maskSample(predAcc, mseg, predScale, th)
+		sens := quant.MaskDensity(mseg)
 		spPred.End()
-
-		sens := 0
-		for _, m := range mseg {
-			if m {
-				sens++
-			}
-		}
-		sensitive += int64(sens)
 
 		spExec := telemetry.StartSpan("odq.executor")
 		sampleBase := s * perSample
 		if float64(sens) >= bitplaneGEMMCutover*float64(perSample) {
-			if hlAcc == nil {
-				hlAcc = tensor.GetInt64(perSample)
-				lhAcc = tensor.GetInt64(perSample)
-				llAcc = tensor.GetInt64(perSample)
-			}
-			if colBuf == nil {
-				colBuf = tensor.GetInt32(rows * cols)
-			}
+			hlAcc := tensor.GetInt64(perSample)
+			lhAcc := tensor.GetInt64(perSample)
+			llAcc := tensor.GetInt64(perSample)
+			colBuf := tensor.GetInt32(rows * cols)
 			tensor.Im2colInt(xh.Data[s*per:(s+1)*per], g, colBuf)
 			tensor.GemmInt(wc.lo.Data, colBuf, hlAcc, outC, rows, cols)
 			tensor.Im2colInt(xl.Data[s*per:(s+1)*per], g, colBuf)
 			tensor.GemmInt(wc.hi.Data, colBuf, lhAcc, outC, rows, cols)
 			tensor.GemmInt(wc.lo.Data, colBuf, llAcc, outC, rows, cols)
-			pool.ParallelLimited(e.workers, outC, func(oc int) {
-				base := oc * cols
-				for j := 0; j < cols; j++ {
-					i := base + j
-					var v float32
-					if !mseg[i] {
-						v = float32(predAcc[i]) * predScale
-					} else {
+			pool.ParallelLimited(inner, outC, func(oc int) {
+				for i := oc * cols; i < (oc+1)*cols; i++ {
+					v := float32(predAcc[i]) * predScale
+					if mseg[i] {
 						v = fuse(predAcc[i], hlAcc[i], lhAcc[i], llAcc[i], predScale, sHL, sLH, sLL)
 					}
 					if ev != nil {
@@ -558,20 +550,20 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 					}
 				}
 			})
+			tensor.PutInt32(colBuf)
+			tensor.PutInt64(hlAcc)
+			tensor.PutInt64(lhAcc)
+			tensor.PutInt64(llAcc)
 		} else {
-			if xlBP == nil {
-				xlBP = &tensor.Bitplanes{R: cols, L: rows, P: xl.Bits, W: tensor.BitplaneWords(rows), Signed: true,
-					Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, xl.Bits))}
-			}
-			tensor.Im2colIntTPack(xl.Data[s*per:(s+1)*per], g, nil, xlBP)
-			pool.ParallelLimited(e.workers, outC, func(oc int) {
+			xlBP := &tensor.Bitplanes{R: cols, L: rows, P: xl.Bits, W: tensor.BitplaneWords(rows), Signed: true,
+				Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, xl.Bits))}
+			tensor.PackConvRows(xl.Data[s*per:(s+1)*per], g, xlBP)
+			pool.ParallelLimited(inner, outC, func(oc int) {
 				base := oc * cols
 				for j := 0; j < cols; j++ {
 					i := base + j
-					var v float32
-					if !mseg[i] {
-						v = float32(predAcc[i]) * predScale
-					} else {
+					v := float32(predAcc[i]) * predScale
+					if mseg[i] {
 						hl, lh, ll := tensor.BitplaneDot3(xhBP, xlBP, j, whBP, wlBP, oc)
 						v = fuse(predAcc[i], hl, lh, ll, predScale, sHL, sLH, sLL)
 					}
@@ -582,23 +574,28 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 					}
 				}
 			})
+			tensor.PutUint64(xlBP.Data)
 		}
 		spExec.End()
+		tensor.PutInt64(predAcc)
+		tensor.PutUint64(xhBP.Data)
+		return sens
 	}
 
-	tensor.PutInt64(predAcc)
-	tensor.PutUint64(xhBP.Data)
-	if colBuf != nil {
-		tensor.PutInt32(colBuf)
+	if n < pool.Size() {
+		var sensitive int64
+		for s := 0; s < n; s++ {
+			sensitive += sample(s, e.workers)
+		}
+		return sensitive
 	}
-	if xlBP != nil {
-		tensor.PutUint64(xlBP.Data)
+	sens := tensor.GetInt64(n)
+	pool.ParallelLimited(e.workers, n, func(s int) { sens[s] = sample(s, 1) })
+	var sensitive int64
+	for _, c := range sens {
+		sensitive += c
 	}
-	if hlAcc != nil {
-		tensor.PutInt64(hlAcc)
-		tensor.PutInt64(lhAcc)
-		tensor.PutInt64(llAcc)
-	}
+	tensor.PutInt64(sens)
 	return sensitive
 }
 

@@ -76,8 +76,11 @@ func (e *Exec) ConvPacked(px *tensor.PackedI4, layer *nn.Conv2D, epi *Epilogue) 
 	if epi == nil {
 		panic("core: ConvPacked requires an epilogue")
 	}
-	qx := px.UnpackInt(1 / float32(quant.ActLevels(e.bits)))
+	qx := &tensor.IntTensor{Shape: px.Shape, Data: tensor.GetInt32(px.Len()),
+		Scale: 1 / float32(quant.ActLevels(e.bits)), Bits: 4}
+	px.UnpackIntInto(qx.Data)
 	_, out := e.convQ(qx, layer, epi, nil)
+	tensor.PutInt32(qx.Data)
 	return out
 }
 
@@ -89,7 +92,8 @@ func (e *Exec) ConvFused(x *tensor.Tensor, layer *nn.Conv2D, epi *Epilogue) *ten
 	if epi == nil {
 		panic("core: ConvFused requires an epilogue")
 	}
-	qx := quant.ActCodes(x, e.bits)
+	qx := quant.ActCodesInto(tensor.GetInt32(len(x.Data)), x, e.bits)
 	_, out := e.convQ(qx, layer, epi, nil)
+	tensor.PutInt32(qx.Data)
 	return out
 }

@@ -29,6 +29,13 @@ func TestSparseDenseParityRandomized(t *testing.T) {
 		{"odd-channels", 5, 7, 6, 6, 3, 1, 1, 3},
 		{"5x5-kernel", 2, 3, 12, 12, 5, 1, 2, 1},
 		{"stride3-pad2", 3, 6, 11, 13, 3, 3, 2, 2},
+		// Channel counts whose per-pixel bitplane chunks fill one word,
+		// straddle a word boundary, and span three words.
+		{"64-channels", 64, 3, 5, 5, 3, 1, 1, 2},
+		{"65-channels", 65, 3, 6, 5, 3, 2, 1, 3},
+		{"130-channels", 130, 2, 5, 5, 3, 1, 2, 1},
+		// Batch at least as large as any pool: the per-sample fan-out.
+		{"batch17", 3, 4, 6, 6, 3, 1, 1, 17},
 	}
 	thresholds := []float32{-1, 0, 0.25, 0.5, 1.0, 1e9}
 	seed := int64(100)

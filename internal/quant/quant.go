@@ -212,9 +212,15 @@ func (q *QuantReLU) Visit(f func(nn.Module)) { f(q) }
 // ActCodes quantizes a float activation tensor to unsigned k-bit integer
 // codes (clamping to [0,1] first, per the DoReFa convention).
 func ActCodes(x *tensor.Tensor, bits int) *tensor.IntTensor {
+	return ActCodesInto(make([]int32, len(x.Data)), x, bits)
+}
+
+// ActCodesInto is ActCodes writing the codes into dst (len >= x's
+// element count, typically pooled scratch); the returned tensor's Data
+// aliases dst.
+func ActCodesInto(dst []int32, x *tensor.Tensor, bits int) *tensor.IntTensor {
 	levels := ActLevels(bits)
-	scale := 1 / float32(levels)
-	out := tensor.NewInt(bits, scale, x.Shape...)
+	out := intOver(dst, bits, 1/float32(levels), x.Shape)
 	fl := float64(levels)
 	for i, v := range x.Data {
 		if v < 0 {
@@ -225,6 +231,17 @@ func ActCodes(x *tensor.Tensor, bits int) *tensor.IntTensor {
 		out.Data[i] = int32(math.Round(float64(v) * fl))
 	}
 	return out
+}
+
+// intOver returns an IntTensor header over the first NumElems(shape)
+// elements of data.
+func intOver(data []int32, bits int, scale float32, shape []int) *tensor.IntTensor {
+	return &tensor.IntTensor{
+		Shape: append([]int(nil), shape...),
+		Data:  data[:tensor.NumElems(shape)],
+		Scale: scale,
+		Bits:  bits,
+	}
 }
 
 // WeightCodes quantizes a float weight tensor to signed symmetric k-bit
@@ -305,6 +322,13 @@ func SplitCodesSigned(t *tensor.IntTensor, lowBits int) (hi, lo *tensor.IntTenso
 // signed, hi is clamped to the 2-bit two's-complement range [−2, 1];
 // unsigned hi clamps to [0, 2^(bits−n)−1].
 func SplitCodesRounded(t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *tensor.IntTensor) {
+	return SplitCodesRoundedInto(make([]int32, len(t.Data)), make([]int32, len(t.Data)), t, lowBits, signed)
+}
+
+// SplitCodesRoundedInto is SplitCodesRounded writing the high and low
+// parts into hiDst and loDst (each len >= t.Len(), typically pooled
+// scratch); the returned tensors' Data alias them.
+func SplitCodesRoundedInto(hiDst, loDst []int32, t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *tensor.IntTensor) {
 	n := uint(lowBits)
 	hiBits := t.Bits - lowBits
 	var hiMin, hiMax int32
@@ -317,8 +341,8 @@ func SplitCodesRounded(t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *t
 	}
 	half := int32(1) << (n - 1)
 	step := int32(1) << n
-	hi = tensor.NewInt(hiBits, t.Scale*float32(step), t.Shape...)
-	lo = tensor.NewInt(lowBits+1, t.Scale, t.Shape...)
+	hi = intOver(hiDst, hiBits, t.Scale*float32(step), t.Shape)
+	lo = intOver(loDst, lowBits+1, t.Scale, t.Shape)
 	for i, c := range t.Data {
 		var h int32
 		if c >= 0 {

@@ -78,7 +78,8 @@ func (p *Profiler) Profiles() []*LayerProfile {
 }
 
 // Record merges a layer observation into the profile set, accumulating
-// counts across batches for repeat visits to the same layer. Telemetry
+// counts across batches for repeat visits to the same layer. Retained
+// masks are copied, so lp.Mask stays the caller's to reuse. Telemetry
 // publication happens unconditionally (every executor calls Record), so
 // per-layer counters are live even when profile retention is off.
 func (p *Profiler) Record(lp *LayerProfile) {
@@ -104,7 +105,10 @@ func (p *Profiler) Record(lp *LayerProfile) {
 		return
 	}
 	lp.Index = len(p.profiles)
-	if !p.keepMasks {
+	if p.keepMasks {
+		// The caller may recycle its mask buffer once Record returns.
+		lp.Mask = append([]bool(nil), lp.Mask...)
+	} else {
 		lp.Mask = nil
 	}
 	p.index[lp.Name] = len(p.profiles)

@@ -516,9 +516,9 @@ type Stats struct {
 // Stats returns the live counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Served:     s.served.Load(),
-		Rejected:   s.rejected.Load(),
-		Batches:    s.batches.Load(),
+		Served:          s.served.Load(),
+		Rejected:        s.rejected.Load(),
+		Batches:         s.batches.Load(),
 		QueueDepth:      len(s.queue),
 		QueueCap:        s.cfg.QueueDepth,
 		Replicas:        len(s.replicas),
@@ -824,6 +824,16 @@ func (s *Server) execBatch(r *replica, batch []*pending) {
 	s.hExec.Record(float64(time.Since(execStart)) / float64(time.Millisecond))
 	spExec.End()
 
+	// Count the batch before answering it, so a Stats call made after a
+	// reply arrives always includes that reply's batch.
+	s.served.Add(int64(n))
+	s.batches.Add(1)
+	s.batchSum.Add(int64(n))
+	r.served.Add(int64(n))
+	r.batches.Add(1)
+	s.mBatches.Inc()
+	s.hBatchSize.Observe(float64(n))
+
 	spScatter := telemetry.StartSpan("serve.scatter")
 	scatterStart := time.Now()
 	gen := sess.Generation()
@@ -848,13 +858,6 @@ func (s *Server) execBatch(r *replica, batch []*pending) {
 	s.hScatter.Record(float64(time.Since(scatterStart)) / float64(time.Millisecond))
 	spScatter.End()
 
-	s.served.Add(int64(n))
-	s.batches.Add(1)
-	s.batchSum.Add(int64(n))
-	r.served.Add(int64(n))
-	r.batches.Add(1)
-	s.mBatches.Inc()
-	s.hBatchSize.Observe(float64(n))
 }
 
 // sampleQPS publishes the per-model QPS gauge once a second until drain.

@@ -9,7 +9,7 @@ import (
 // each, with every row stored as P uint64 bitplanes of W = ceil(L/64)
 // words. Plane p of row r occupies Data[(r*P+p)*W : (r*P+p+1)*W]; lane l
 // maps to bit l&63 of word l>>6. Unused tail bits of the last word are
-// kept zero by PackRow, so kernels can run whole words without masking.
+// kept zero by the packers, so kernels can run whole words without masking.
 //
 // The layout is the software analogue of a multi-precision PE array: a
 // dot product between two bit-planar rows decomposes into one AND+POPCNT
@@ -38,7 +38,7 @@ func BitplaneSize(rows, lanes, planes int) int {
 
 // NewBitplanes allocates a zeroed bit-planar matrix. Hot paths instead
 // construct a Bitplanes value over pooled scratch from GetUint64 (PackRow
-// fully overwrites its row, so dirty buffers are fine).
+// and PackConvRows fully overwrite their rows, so dirty buffers are fine).
 func NewBitplanes(rows, lanes, planes int, signed bool) *Bitplanes {
 	return &Bitplanes{
 		R: rows, L: lanes, P: planes, W: BitplaneWords(lanes),
@@ -57,17 +57,7 @@ func (bp *Bitplanes) PackRow(r int, src []int32) {
 		panic(fmt.Sprintf("tensor: PackRow src %d lanes, want %d", len(src), bp.L))
 	}
 	row := bp.Data[r*bp.P*bp.W : (r+1)*bp.P*bp.W]
-	switch bp.P {
-	case 2:
-		packRow2(row, src[:bp.L], bp.W)
-		return
-	case 3:
-		packRow3(row, src[:bp.L], bp.W)
-		return
-	}
-	for i := range row {
-		row[i] = 0
-	}
+	clear(row)
 	mask := uint32(1)<<uint(bp.P) - 1
 	for l := 0; l < bp.L; l++ {
 		u := uint32(src[l]) & mask
@@ -81,51 +71,125 @@ func (bp *Bitplanes) PackRow(r int, src []int32) {
 	}
 }
 
-// packRow2 packs a 2-plane row word at a time, accumulating both plane
-// words in registers instead of read-modify-writing memory per lane.
-func packRow2(row []uint64, src []int32, w int) {
-	for wi := 0; wi < w; wi++ {
-		base := wi << 6
-		n := len(src) - base
-		if n > 64 {
-			n = 64
-		}
-		var p0, p1 uint64
-		for l, c := range src[base : base+n] {
-			u := uint64(uint32(c) & 3)
-			p0 |= (u & 1) << uint(l)
-			p1 |= (u >> 1) << uint(l)
-		}
-		row[wi] = p0
-		row[w+wi] = p1
-	}
-}
-
-// packRow3 is packRow2 for 3-plane codes (the ODQ low-part split).
-func packRow3(row []uint64, src []int32, w int) {
-	for wi := 0; wi < w; wi++ {
-		base := wi << 6
-		n := len(src) - base
-		if n > 64 {
-			n = 64
-		}
-		var p0, p1, p2 uint64
-		for l, c := range src[base : base+n] {
-			u := uint64(uint32(c) & 7)
-			p0 |= (u & 1) << uint(l)
-			p1 |= (u >> 1 & 1) << uint(l)
-			p2 |= (u >> 2) << uint(l)
-		}
-		row[wi] = p0
-		row[w+wi] = p1
-		row[2*w+wi] = p2
-	}
-}
-
 // PackRows packs all R rows from row-major src (R*L values).
 func (bp *Bitplanes) PackRows(src []int32) {
 	for r := 0; r < bp.R; r++ {
 		bp.PackRow(r, src[r*bp.L:(r+1)*bp.L])
+	}
+}
+
+// PackConvWeights packs conv weight codes laid out [R][C][K][K] (R output
+// channels, L = C·K·K lanes) with each row permuted into the (kh, kw, c)
+// lane order of PackConvRows, so a weight row and an activation row dot
+// lane for lane.
+func (bp *Bitplanes) PackConvWeights(src []int32, inC, k int) {
+	kk := k * k
+	if bp.L != inC*kk || len(src) < bp.R*bp.L {
+		panic(fmt.Sprintf("tensor: PackConvWeights %d lanes for C=%d K=%d, src %d", bp.L, inC, k, len(src)))
+	}
+	row := make([]int32, bp.L)
+	for r := 0; r < bp.R; r++ {
+		w := src[r*bp.L : (r+1)*bp.L]
+		for c := 0; c < inC; c++ {
+			for t := 0; t < kk; t++ {
+				row[t*inC+c] = w[c*kk+t]
+			}
+		}
+		bp.PackRow(r, row)
+	}
+}
+
+// PackConvRows is the bitplane im2col: it packs one sample's activation
+// codes src (layout [C,H,W]) into dst, one row per output position
+// (dst.R = g.ColCols()) of g.ColRows() lanes in (kh, kw, c) order. Each
+// input pixel's C channel codes are packed once per plane into a C-bit
+// chunk of ⌈C/64⌉ words — O(C·H·W) bit work — and each row is then
+// assembled from its K·K chunks by shift/OR into zeroed words, a chunk
+// that straddles a word boundary spilling into the next word. Padding
+// pixels contribute nothing. dst.P and dst.Signed give the code range as
+// for PackRow; dst may hold dirty pooled scratch.
+func PackConvRows(src []int32, g ConvGeom, dst *Bitplanes) {
+	if dst.R != g.ColCols() || dst.L != g.ColRows() || len(src) < g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: PackConvRows dst %dx%d, want %dx%d", dst.R, dst.L, g.ColCols(), g.ColRows()))
+	}
+	planes, w := dst.P, dst.W
+	cw := BitplaneWords(g.InC)
+	pixStride := planes * cw
+	chunks := GetUint64(g.InH * g.InW * pixStride)
+	packPixelChunks(chunks, src, g.InC, g.InH*g.InW, planes, cw)
+
+	rowLen := planes * w
+	pos := 0
+	for oh := 0; oh < g.OutH; oh++ {
+		ihBase := oh*g.Stride - g.Pad
+		for ow := 0; ow < g.OutW; ow++ {
+			iwBase := ow*g.Stride - g.Pad
+			row := dst.Data[pos*rowLen : (pos+1)*rowLen]
+			clear(row)
+			for kh := 0; kh < g.K; kh++ {
+				ih := ihBase + kh
+				if ih < 0 || ih >= g.InH {
+					continue
+				}
+				for kw := 0; kw < g.K; kw++ {
+					iw := iwBase + kw
+					if iw < 0 || iw >= g.InW {
+						continue
+					}
+					lane := (kh*g.K + kw) * g.InC
+					wi, sh := lane>>6, uint(lane&63)
+					pix := (ih*g.InW + iw) * pixStride
+					// A shift of 64 yields 0, so an aligned chunk never
+					// spills; a nonzero spill always has a next word in
+					// its plane to land in.
+					if cw == 1 {
+						// Single-word chunks (C ≤ 64), the common case,
+						// without the per-plane word loop.
+						for p, v := range chunks[pix : pix+planes] {
+							o := p*w + wi
+							row[o] |= v << sh
+							if hi := v >> (64 - sh); hi != 0 {
+								row[o+1] |= hi
+							}
+						}
+						continue
+					}
+					for p := 0; p < planes; p++ {
+						prow := row[p*w : (p+1)*w]
+						for k, v := range chunks[pix+p*cw : pix+(p+1)*cw] {
+							prow[wi+k] |= v << sh
+							if hi := v >> (64 - sh); hi != 0 {
+								prow[wi+k+1] |= hi
+							}
+						}
+					}
+				}
+			}
+			pos++
+		}
+	}
+	PutUint64(chunks)
+}
+
+// packPixelChunks writes, for every pixel i of a [c, hw] code plane set,
+// its c channel codes as `planes` bitplane chunks of cw words each at
+// dst[(i*planes+p)*cw:], channel ch on bit ch&63 of word ch>>6.
+func packPixelChunks(dst []uint64, src []int32, c, hw, planes, cw int) {
+	clear(dst)
+	mask := uint32(1)<<uint(planes) - 1
+	stride := planes * cw
+	for ch := 0; ch < c; ch++ {
+		word, bit := ch>>6, uint(ch&63)
+		for i, code := range src[ch*hw : (ch+1)*hw] {
+			u := uint64(uint32(code) & mask)
+			if u == 0 {
+				continue
+			}
+			d := dst[i*stride+word:]
+			for p := 0; p < planes; p++ {
+				d[p*cw] |= (u >> uint(p) & 1) << bit
+			}
+		}
 	}
 }
 

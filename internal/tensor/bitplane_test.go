@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -183,6 +184,103 @@ func TestBitplaneDot3Parity(t *testing.T) {
 	}
 }
 
+// TestPackConvRowsParity checks the chunked conv packer end to end: rows
+// from PackConvRows against weight rows from PackConvWeights, both in
+// (kh, kw, c) lane order, must give the scalar dot of the (c, kh, kw)
+// im2col row with the unpermuted weight row — through BitplaneMulRow and
+// BitplaneDot3 — for chunks that fill, straddle and span words, every
+// kernel size the models use, stride 2 and padding 0–2.
+func TestPackConvRowsParity(t *testing.T) {
+	rng := NewRNG(17)
+	type side struct {
+		planes int
+		signed bool
+	}
+	sides := []side{{2, false}, {2, true}, {3, false}, {3, true}, {5, false}, {5, true}}
+	for _, inC := range []int{1, 3, 21, 64, 65, 130} {
+		for _, k := range []int{1, 3, 5} {
+			for pad := 0; pad <= 2; pad++ {
+				for _, stride := range []int{1, 2} {
+					const outC, h, w = 3, 7, 6
+					if h+2*pad < k || w+2*pad < k {
+						continue
+					}
+					g := Geometry(inC, h, w, outC, k, stride, pad)
+					rows, cols := g.ColRows(), g.ColCols()
+					xT := make([]int32, rows*cols)
+					for _, xs := range sides {
+						for _, ws := range sides {
+							x := randCodes(rng, inC*h*w, xs.planes, xs.signed)
+							wc := randCodes(rng, outC*rows, ws.planes, ws.signed)
+							Im2colIntT(x, g, xT)
+							xbp := poisonedBitplanes(cols, rows, xs.planes, xs.signed)
+							PackConvRows(x, g, xbp)
+							wbp := NewBitplanes(outC, rows, ws.planes, ws.signed)
+							wbp.PackConvWeights(wc, inC, k)
+							dst := make([]int64, cols)
+							for oc := 0; oc < outC; oc++ {
+								BitplaneMulRow(dst, wbp, oc, xbp)
+								for j := 0; j < cols; j++ {
+									want := scalarDot(wc[oc*rows:(oc+1)*rows], xT[j*rows:(j+1)*rows])
+									if dst[j] != want {
+										t.Fatalf("C=%d K=%d s=%d pad=%d x=%+v w=%+v oc=%d j=%d: got %d want %d",
+											inC, k, stride, pad, xs, ws, oc, j, dst[j], want)
+									}
+								}
+							}
+							PutUint64(xbp.Data)
+						}
+					}
+					// The three executor partials, on the fused ODQ geometry
+					// and on the generic fallback.
+					for _, pl := range []struct{ hiP, loP int }{{2, 3}, {5, 5}} {
+						xhC := randCodes(rng, inC*h*w, pl.hiP, false)
+						xlC := randCodes(rng, inC*h*w, pl.loP, true)
+						whC := randCodes(rng, outC*rows, pl.hiP, true)
+						wlC := randCodes(rng, outC*rows, pl.loP, true)
+						xh := poisonedBitplanes(cols, rows, pl.hiP, false)
+						xl := poisonedBitplanes(cols, rows, pl.loP, true)
+						PackConvRows(xhC, g, xh)
+						PackConvRows(xlC, g, xl)
+						wh := NewBitplanes(outC, rows, pl.hiP, true)
+						wl := NewBitplanes(outC, rows, pl.loP, true)
+						wh.PackConvWeights(whC, inC, k)
+						wl.PackConvWeights(wlC, inC, k)
+						xhT, xlT := make([]int32, rows*cols), make([]int32, rows*cols)
+						Im2colIntT(xhC, g, xhT)
+						Im2colIntT(xlC, g, xlT)
+						for j := 0; j < cols; j++ {
+							for oc := 0; oc < outC; oc++ {
+								hl, lh, ll := BitplaneDot3(xh, xl, j, wh, wl, oc)
+								xhRow, xlRow := xhT[j*rows:(j+1)*rows], xlT[j*rows:(j+1)*rows]
+								whRow, wlRow := whC[oc*rows:(oc+1)*rows], wlC[oc*rows:(oc+1)*rows]
+								if hl != scalarDot(xhRow, wlRow) || lh != scalarDot(xlRow, whRow) || ll != scalarDot(xlRow, wlRow) {
+									t.Fatalf("C=%d K=%d s=%d pad=%d planes=%+v j=%d oc=%d: Dot3 (%d,%d,%d) want (%d,%d,%d)",
+										inC, k, stride, pad, pl, j, oc, hl, lh, ll,
+										scalarDot(xhRow, wlRow), scalarDot(xlRow, whRow), scalarDot(xlRow, wlRow))
+								}
+							}
+						}
+						PutUint64(xh.Data)
+						PutUint64(xl.Data)
+					}
+				}
+			}
+		}
+	}
+}
+
+// poisonedBitplanes returns a Bitplanes over pooled scratch filled with
+// ones, so a packer that fails to overwrite every word is caught.
+func poisonedBitplanes(rows, lanes, planes int, signed bool) *Bitplanes {
+	bp := &Bitplanes{R: rows, L: lanes, P: planes, W: BitplaneWords(lanes), Signed: signed,
+		Data: GetUint64(BitplaneSize(rows, lanes, planes))}
+	for i := range bp.Data {
+		bp.Data[i] = ^uint64(0)
+	}
+	return bp
+}
+
 func BenchmarkBitplaneDot2x2(b *testing.B) {
 	rng := NewRNG(14)
 	const lanes = 576
@@ -208,5 +306,28 @@ func BenchmarkScalarDotInt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scalarDot(a, w)
+	}
+}
+
+// BenchmarkPackConvRows packs one sample at the first-stage shape of the
+// half-width ResNet-20 (C=8, 32×32, 3×3, pad 1) for the 2-plane high and
+// 3-plane low codes.
+func BenchmarkPackConvRows(b *testing.B) {
+	rng := NewRNG(18)
+	for _, c := range []int{8, 32} {
+		for _, pl := range []struct {
+			planes int
+			signed bool
+		}{{2, false}, {3, true}} {
+			hw := 32 * 8 / c
+			g := Geometry(c, hw, hw, c, 3, 1, 1)
+			x := randCodes(rng, c*hw*hw, pl.planes, pl.signed)
+			bp := NewBitplanes(g.ColCols(), g.ColRows(), pl.planes, pl.signed)
+			b.Run(fmt.Sprintf("C%d/P%d", c, pl.planes), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					PackConvRows(x, g, bp)
+				}
+			})
+		}
 	}
 }

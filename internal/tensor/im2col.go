@@ -118,31 +118,11 @@ func Im2colInt(src []int32, g ConvGeom, dst []int32) {
 // Im2colIntT writes the TRANSPOSED integer column matrix: dst has shape
 // [OutH*OutW, C*K*K] (row-major), so each output position's receptive
 // field is one contiguous row in (c, kh, kw) order — the same order as a
-// weight-code row [O][C,K,K]. The sparse ODQ executor uses this to turn a
-// masked output into a single contiguous dot product.
+// weight-code row [O][C,K,K]. The legacy scalar sparse executor uses this
+// to turn a masked output into a single contiguous dot product.
 func Im2colIntT(src []int32, g ConvGeom, dst []int32) {
-	Im2colIntTPack(src, g, dst, nil)
-}
-
-// Im2colIntTPack is Im2colIntT with an optional fused bitplane pack: when
-// bp is non-nil, every gathered output row is packed into bp while still
-// hot in cache, saving the second full sweep over the (large) transposed
-// matrix that a separate PackRows pass would cost. bp must have R =
-// ColCols() rows of L = ColRows() lanes. dst may be nil when bp is
-// non-nil: the gather then runs through a single pooled row buffer and
-// never materializes the rows×cols matrix at all, which keeps the
-// working set at one receptive field instead of the whole transpose —
-// the packed planes are the only output.
-func Im2colIntTPack(src []int32, g ConvGeom, dst []int32, bp *Bitplanes) {
 	rows, cols := g.ColRows(), g.ColCols()
-	var rowBuf []int32
-	if dst == nil {
-		if bp == nil {
-			panic("tensor: Im2colIntTPack needs dst or bp")
-		}
-		rowBuf = GetInt32(rows)
-		defer PutInt32(rowBuf)
-	} else if len(dst) < rows*cols {
+	if len(dst) < rows*cols {
 		panic("tensor: Im2colIntT dst too small")
 	}
 	kk := g.K * g.K
@@ -151,12 +131,7 @@ func Im2colIntTPack(src []int32, g ConvGeom, dst []int32, bp *Bitplanes) {
 		ihBase := oh*g.Stride - g.Pad
 		for ow := 0; ow < g.OutW; ow++ {
 			iwBase := ow*g.Stride - g.Pad
-			var dstRow []int32
-			if dst != nil {
-				dstRow = dst[pos*rows : (pos+1)*rows]
-			} else {
-				dstRow = rowBuf[:rows]
-			}
+			dstRow := dst[pos*rows : (pos+1)*rows]
 			interior := iwBase >= 0 && iwBase+g.K <= g.InW
 			for c := 0; c < g.InC; c++ {
 				chanBase := c * g.InH * g.InW
@@ -187,9 +162,6 @@ func Im2colIntTPack(src []int32, g ConvGeom, dst []int32, bp *Bitplanes) {
 						idx++
 					}
 				}
-			}
-			if bp != nil {
-				bp.PackRow(pos, dstRow)
 			}
 			pos++
 		}

@@ -122,128 +122,80 @@ func (p *Pool) ParallelLimited(limit, n int, fn func(i int)) {
 
 // ---- Scratch buffer pools ----
 //
-// The quantized conv hot path needs three kinds of scratch: int32 im2col
-// matrices, int64 accumulators and float32 im2col matrices. Pooling them
-// takes steady-state inference to near-zero allocation. Buffers come back
-// DIRTY: callers must fully overwrite (im2col and GemmInt do).
+// The quantized conv hot path needs scratch of several element types:
+// int32 codes and im2col matrices, int64 accumulators, float32 im2col
+// matrices, bitplane words, output codes and sensitivity masks. Pooling
+// them takes steady-state inference to near-zero allocation. Buffers come
+// back DIRTY: callers must fully overwrite (im2col and GemmInt do).
 
 var (
-	i32Pool = sync.Pool{}
-	i64Pool = sync.Pool{}
-	f32Pool = sync.Pool{}
-	u64Pool = sync.Pool{}
-	u8Pool  = sync.Pool{}
+	i32Pool  = sync.Pool{}
+	i64Pool  = sync.Pool{}
+	f32Pool  = sync.Pool{}
+	u64Pool  = sync.Pool{}
+	u8Pool   = sync.Pool{}
+	boolPool = sync.Pool{}
 )
 
-// GetInt32 returns a length-n int32 scratch buffer with arbitrary contents.
-func GetInt32(n int) []int32 {
-	if v := i32Pool.Get(); v != nil {
-		s := *(v.(*[]int32))
+// getScratch returns a length-n buffer from p with arbitrary contents,
+// allocating when the pooled buffer is missing or too small.
+func getScratch[T any](p *sync.Pool, n int) []T {
+	if v := p.Get(); v != nil {
+		s := *(v.(*[]T))
 		if cap(s) >= n {
 			mScratchHits.Inc()
 			return s[:n]
 		}
 	}
 	mScratchMisses.Inc()
-	return make([]int32, n)
+	return make([]T, n)
 }
+
+// putScratch recycles a buffer obtained from getScratch on the same pool.
+func putScratch[T any](p *sync.Pool, s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	s = s[:cap(s)]
+	p.Put(&s)
+}
+
+// GetInt32 returns a length-n int32 scratch buffer with arbitrary contents.
+func GetInt32(n int) []int32 { return getScratch[int32](&i32Pool, n) }
 
 // PutInt32 recycles a buffer obtained from GetInt32.
-func PutInt32(s []int32) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	i32Pool.Put(&s)
-}
+func PutInt32(s []int32) { putScratch(&i32Pool, s) }
 
 // GetInt64 returns a length-n int64 scratch buffer with arbitrary contents.
-func GetInt64(n int) []int64 {
-	if v := i64Pool.Get(); v != nil {
-		s := *(v.(*[]int64))
-		if cap(s) >= n {
-			mScratchHits.Inc()
-			return s[:n]
-		}
-	}
-	mScratchMisses.Inc()
-	return make([]int64, n)
-}
+func GetInt64(n int) []int64 { return getScratch[int64](&i64Pool, n) }
 
 // PutInt64 recycles a buffer obtained from GetInt64.
-func PutInt64(s []int64) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	i64Pool.Put(&s)
-}
+func PutInt64(s []int64) { putScratch(&i64Pool, s) }
 
 // GetFloat32 returns a length-n float32 scratch buffer with arbitrary
 // contents.
-func GetFloat32(n int) []float32 {
-	if v := f32Pool.Get(); v != nil {
-		s := *(v.(*[]float32))
-		if cap(s) >= n {
-			mScratchHits.Inc()
-			return s[:n]
-		}
-	}
-	mScratchMisses.Inc()
-	return make([]float32, n)
-}
+func GetFloat32(n int) []float32 { return getScratch[float32](&f32Pool, n) }
 
 // PutFloat32 recycles a buffer obtained from GetFloat32.
-func PutFloat32(s []float32) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	f32Pool.Put(&s)
-}
+func PutFloat32(s []float32) { putScratch(&f32Pool, s) }
 
 // GetUint64 returns a length-n uint64 scratch buffer with arbitrary
-// contents (bitplane word storage; Bitplanes.PackRow fully overwrites).
-func GetUint64(n int) []uint64 {
-	if v := u64Pool.Get(); v != nil {
-		s := *(v.(*[]uint64))
-		if cap(s) >= n {
-			mScratchHits.Inc()
-			return s[:n]
-		}
-	}
-	mScratchMisses.Inc()
-	return make([]uint64, n)
-}
+// contents (bitplane word storage; the bitplane packers fully overwrite).
+func GetUint64(n int) []uint64 { return getScratch[uint64](&u64Pool, n) }
 
 // PutUint64 recycles a buffer obtained from GetUint64.
-func PutUint64(s []uint64) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	u64Pool.Put(&s)
-}
+func PutUint64(s []uint64) { putScratch(&u64Pool, s) }
 
 // GetUint8 returns a length-n uint8 scratch buffer with arbitrary
 // contents (per-element activation codes before nibble packing).
-func GetUint8(n int) []uint8 {
-	if v := u8Pool.Get(); v != nil {
-		s := *(v.(*[]uint8))
-		if cap(s) >= n {
-			mScratchHits.Inc()
-			return s[:n]
-		}
-	}
-	mScratchMisses.Inc()
-	return make([]uint8, n)
-}
+func GetUint8(n int) []uint8 { return getScratch[uint8](&u8Pool, n) }
 
 // PutUint8 recycles a buffer obtained from GetUint8.
-func PutUint8(s []uint8) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	u8Pool.Put(&s)
-}
+func PutUint8(s []uint8) { putScratch(&u8Pool, s) }
+
+// GetBool returns a length-n bool scratch buffer with arbitrary contents
+// (per-output sensitivity masks).
+func GetBool(n int) []bool { return getScratch[bool](&boolPool, n) }
+
+// PutBool recycles a buffer obtained from GetBool.
+func PutBool(s []bool) { putScratch(&boolPool, s) }

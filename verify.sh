@@ -6,10 +6,12 @@ set -eux
 ./scripts/metric_lint.sh
 go vet ./...
 go build ./...
-# Fast early gate: the telemetry layer, the kernels it instruments and
-# the scale-out transport are the most concurrency-sensitive packages;
-# shake them under the race detector before the long full-tree pass.
-go test -race -count=1 ./internal/telemetry ./internal/tensor ./internal/dist
+# Fast early gate: the telemetry layer, the kernels it instruments, the
+# ODQ executor (its sample and output-channel fan-outs write shared
+# output, code and mask buffers) and the scale-out transport are the most
+# concurrency-sensitive packages; shake them under the race detector
+# before the long full-tree pass.
+go test -race -count=1 ./internal/telemetry ./internal/tensor ./internal/core ./internal/dist
 go test -race -timeout 90m ./...
 # Build-only smoke for the benchmark snapshot harnesses: without their env
 # gates they compile, link and skip, so CI never depends on timing.
