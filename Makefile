@@ -1,4 +1,4 @@
-.PHONY: all build test vet race verify verify-quick bench snapshot bench-train bench-telemetry bench-bitplane bench-dist bench-compare profile
+.PHONY: all build test vet race verify verify-quick bench bench-train bench-telemetry bench-bitplane bench-dist bench-compare profile
 
 all: build
 
@@ -29,10 +29,6 @@ verify-quick:
 bench:
 	go test -bench=. -benchmem -run '^$$' .
 
-# Regenerate the committed benchmark snapshot (BENCH_odq_conv.json).
-snapshot:
-	ODQ_BENCH_SNAPSHOT=1 go test -run TestODQConvBenchSnapshot -v .
-
 # Regenerate the committed training/GEMM snapshot (BENCH_train_gemm.json):
 # packed vs seed kernels at CNN shapes plus end-to-end QAT step throughput
 # at batch 32, min-of-3 runs.
@@ -46,7 +42,7 @@ bench-telemetry:
 	TELEMETRY_BENCH_SNAPSHOT=1 go test -run TestTelemetryBenchSnapshot -v .
 
 # Regenerate the committed bitplane snapshot (BENCH_bitplane.json):
-# bitplane vs int-GEMM predictor micro-kernels, sparse/legacy/dense
+# bitplane vs int-GEMM predictor micro-kernels, sparse vs dense-reference
 # executor at swept sensitivities, and the packed-domain pipeline vs the
 # float round-trip path.
 bench-bitplane:

@@ -55,11 +55,8 @@ type BitplaneBenchSnapshot struct {
 	// sparse-bitplane-ns. The tentpole acceptance bar is sens100 >= 1:
 	// the ODQ sparse executor must not lose to dense even when every
 	// output is sensitive.
-	SparseSpeedup map[string]float64 `json:"sparse_speedup_vs_dense"`
-	// BitplaneSpeedup maps each sensitivity level to legacy-int-GEMM-ns /
-	// sparse-bitplane-ns.
-	BitplaneSpeedup map[string]float64    `json:"bitplane_speedup_vs_legacy"`
-	Pipeline        BitplanePipelineBench `json:"pipeline"`
+	SparseSpeedup map[string]float64    `json:"sparse_speedup_vs_dense"`
+	Pipeline      BitplanePipelineBench `json:"pipeline"`
 }
 
 // minInterleaved benchmarks the entries round-robin for the given number
@@ -124,9 +121,8 @@ func TestBitplaneBenchSnapshot(t *testing.T) {
 	}
 	conv, x := benchConvLayer()
 	snap := &BitplaneBenchSnapshot{
-		Layer:           "conv 16x32x32 -> 32 filters 3x3 s1 p1, batch 1",
-		SparseSpeedup:   map[string]float64{},
-		BitplaneSpeedup: map[string]float64{},
+		Layer:         "conv 16x32x32 -> 32 filters 3x3 s1 p1, batch 1",
+		SparseSpeedup: map[string]float64{},
 	}
 
 	// --- Predictor micro: HBS x HBS, bitplane vs int-GEMM ---
@@ -179,7 +175,6 @@ func TestBitplaneBenchSnapshot(t *testing.T) {
 		opts []core.Option
 	}{
 		{"sparse-bitplane", nil},
-		{"sparse-legacy", []core.Option{core.WithIntGEMMPredictor()}},
 		{"dense", []core.Option{core.WithDenseReference()}},
 	}
 	for _, p := range odqBenchGrid {
@@ -211,7 +206,6 @@ func TestBitplaneBenchSnapshot(t *testing.T) {
 			})
 		}
 		snap.SparseSpeedup[p.name] = float64(ns["dense"]) / float64(ns["sparse-bitplane"])
-		snap.BitplaneSpeedup[p.name] = float64(ns["sparse-legacy"]) / float64(ns["sparse-bitplane"])
 	}
 	if s := snap.SparseSpeedup["sens100"]; s < 1.0 {
 		t.Errorf("sparse bitplane executor lost to dense at 100%% sensitivity: speedup %.3f", s)
@@ -262,6 +256,5 @@ func TestBitplaneBenchSnapshot(t *testing.T) {
 	}
 	t.Logf("predictor bitplane-vs-gemm speedup: %.2f", snap.Predictor.Speedup)
 	t.Logf("sparse-vs-dense speedups: %v", snap.SparseSpeedup)
-	t.Logf("bitplane-vs-legacy speedups: %v", snap.BitplaneSpeedup)
 	t.Logf("packed pipeline speedup: %.2f", snap.Pipeline.Speedup)
 }

@@ -339,12 +339,12 @@ func BenchmarkAblationPredictor4Bit(b *testing.B) {
 
 // ---------- ODQ sparse-executor benches ----------
 //
-// The result-generation rework computes the HL/LH/LL partials only for
-// sensitive outputs, in parallel across output channels. These benches
-// pin the sensitive fraction at ~30%/60%/100% and compare the sparse
-// parallel path against the dense-select reference and against serial
-// execution. TestODQConvBenchSnapshot (ODQ_BENCH_SNAPSHOT=1) writes the
-// same grid to BENCH_odq_conv.json.
+// The result executor computes the HL/LH/LL partials only for sensitive
+// outputs. These benches pin the sensitive fraction at ~30%/60%/100% and
+// compare the sparse parallel path against the dense-select reference
+// and against serial execution. TestBitplaneBenchSnapshot
+// (BITPLANE_BENCH_SNAPSHOT=1) writes the sparse-vs-dense grid to
+// BENCH_bitplane.json.
 
 // thresholdForSensitivity bisects the ODQ threshold until the executor's
 // sensitive fraction lands near target on the given layer/input.

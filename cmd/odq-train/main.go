@@ -22,12 +22,17 @@
 //	odq-train -workers 2 -rank 0 -coord :7000 -o run.ckpt  # coordinator
 //	odq-train -workers 2 -rank 1 -coord host:7000          # joiner
 //
-// -elastic turns the fleet self-healing: links carry heartbeats, a
-// worker that dies (SIGKILL, network partition) is detected within
-// -hb-timeout, and the survivors regroup at the smaller world size,
-// roll back to the last durable checkpoint and continue — byte-identical
-// to a run launched at the surviving worker count. Requires -coord,
-// -ckpt-every and -o on a path every rank can read:
+// Over TCP, -rank 0 hosts the coordinator and is always group rank 0;
+// any -rank >= 1 only marks a joiner, and the coordinator assigns
+// joiners their group ranks in arrival order. Links carry heartbeats,
+// so a worker that dies (SIGKILL, network partition) is detected within
+// -hb-timeout; without -elastic that failure ends the run.
+//
+// -elastic turns the fleet self-healing: the survivors regroup at the
+// smaller world size, roll back to the last durable checkpoint and
+// continue — byte-identical to a run launched at the surviving worker
+// count. Requires -coord, -ckpt-every and -o on a path every rank can
+// read:
 //
 //	odq-train -elastic -workers 3 -rank 0 -coord :7000 -group 3 -ckpt-every 1 -o run.ckpt
 //	odq-train -elastic -workers 3 -rank 1 -coord host:7000 -group 3 -ckpt-every 1 -o run.ckpt
@@ -80,12 +85,12 @@ func main() {
 	clipNorm := flag.Float64("clip-norm", 0, "clip gradients to this global L2 norm (0 = off)")
 	killAfter := flag.Int("kill-after", 0, "SIGKILL self after N completed epochs (crash-safety testing; 0 = off)")
 	workers := flag.Int("workers", 1, "data-parallel worker count (world size)")
-	rank := flag.Int("rank", 0, "this process's rank in [0,workers) when -coord is set")
+	rank := flag.Int("rank", 0, "with -coord: 0 hosts the coordinator, any rank in [1,workers) joins it (group ranks are assigned in arrival order)")
 	coord := flag.String("coord", "", "coordinator TCP address; rank 0 listens there, other ranks dial it (empty with -workers > 1 = all workers in-process)")
 	group := flag.Int("group", 0, "sync group size: global batches folded per optimizer step (0 = workers, or the checkpoint's group on resume; equal -group means bit-identical runs at any worker count)")
 	elastic := flag.Bool("elastic", false, "self-healing fleet: detect dead workers via heartbeats, regroup the survivors and resume from the last checkpoint (requires -coord, -ckpt-every, -o)")
-	hbInterval := flag.Duration("hb-interval", 500*time.Millisecond, "elastic: heartbeat send interval per link")
-	hbTimeout := flag.Duration("hb-timeout", 5*time.Second, "elastic: frame deadline; a link silent this long means the peer is gone")
+	hbInterval := flag.Duration("hb-interval", 500*time.Millisecond, "TCP fleets: heartbeat send interval per link")
+	hbTimeout := flag.Duration("hb-timeout", 5*time.Second, "TCP fleets: frame deadline; a link silent this long means the peer is gone")
 	regroupTimeout := flag.Duration("regroup-timeout", 15*time.Second, "elastic: how long the coordinator waits for survivors to rejoin after a failure")
 	killSteps := flag.Int("kill-after-steps", 0, "SIGKILL self after N optimizer steps (chaos testing; 0 = off)")
 	tf := telemetryflag.Register(flag.CommandLine)
@@ -138,15 +143,15 @@ func main() {
 	if *group < 0 {
 		fail("-group must be >= 0 (got %d)", *group)
 	}
+	if *coord != "" && (*hbInterval <= 0 || *hbTimeout <= *hbInterval) {
+		fail("-hb-timeout (%v) must exceed -hb-interval (%v), both > 0", *hbTimeout, *hbInterval)
+	}
 	if *elastic {
 		if *coord == "" {
 			fail("-elastic is for TCP fleets: pass -coord (in-process workers share one fate anyway)")
 		}
 		if *ckptEvery == 0 || *out == "" {
 			fail("-elastic recovery resumes from durable checkpoints: pass -ckpt-every and -o on a path every rank can read")
-		}
-		if *hbInterval <= 0 || *hbTimeout <= *hbInterval {
-			fail("-hb-timeout (%v) must exceed -hb-interval (%v), both > 0", *hbTimeout, *hbInterval)
 		}
 		if *group == 0 {
 			// The sync-group size defines the trajectory and must not move
@@ -218,12 +223,12 @@ func main() {
 
 	var net *nn.Sequential
 	switch {
-	case *elastic:
-		// Self-healing fleet: membership (join, failure detection, regroup)
-		// lives in the elastic layer, recovery (rollback + resume) in
-		// FitElastic. The -rank 0 process hosts the coordinator and is
-		// always group rank 0; other processes join and take whatever rank
-		// the current membership epoch assigns them.
+	case *coord != "":
+		// TCP fleet: every process joins through the one membership layer.
+		// The -rank 0 process hosts the coordinator and is always group
+		// rank 0; the others take whatever rank their arrival order gives
+		// them. Checkpoint paths must be on a filesystem all ranks can read
+		// (rank 0 alone writes).
 		eopts := dist.ElasticOptions{
 			JoinTimeout:       joinTimeout,
 			RegroupTimeout:    *regroupTimeout,
@@ -232,7 +237,7 @@ func main() {
 		}
 		var m dist.Membership
 		if *rank == 0 {
-			olog.Info("elastic coordinator listening", "world", *workers, "coord", *coord)
+			olog.Info("coordinator listening", "world", *workers, "coord", *coord, "elastic", *elastic)
 			c, err := dist.ElasticListen(*coord, *workers, eopts)
 			if err != nil {
 				fail("%v", err)
@@ -242,22 +247,42 @@ func main() {
 			m = dist.NewElasticWorker(*coord, *workers, eopts)
 		}
 		defer m.Close() //nolint:errcheck // process exit follows
-		build := func() (nn.Module, error) { return models.Build(*modelName, mcfg) }
-		o := opts
-		if *rank != 0 {
-			o.Log = nil // one progress stream, not W interleaved ones
+		if *elastic {
+			// Self-healing: recovery (regroup, rollback, resume) lives in
+			// FitElastic.
+			build := func() (nn.Module, error) { return models.Build(*modelName, mcfg) }
+			o := opts
+			if *rank != 0 {
+				o.Log = nil // one progress stream, not W interleaved ones
+			}
+			_, trained, err := train.FitElastic(m, build, trainDS, o)
+			if err != nil {
+				failFit(err)
+			}
+			net = trained.(*nn.Sequential)
+			break
 		}
-		_, trained, err := train.FitElastic(m, build, trainDS, o)
+		// Fixed fleet: join once; a lost peer fails the run.
+		g, err := m.Join()
 		if err != nil {
+			fail("%v", err)
+		}
+		telemetry.SetRank(g.Rank())
+		n, err := models.Build(*modelName, mcfg)
+		if err != nil {
+			fail("%v", err)
+		}
+		opts.Reducer = dist.NewReducer(g)
+		if _, err := train.Fit(n, trainDS, opts); err != nil {
 			failFit(err)
 		}
-		net = trained.(*nn.Sequential)
+		net = n
 
 	case *workers == 1:
-		// Single worker. -group > 1 (or a resumed group checkpoint) still
-		// selects the group-synchronous loop, which is bit-compatible
-		// with any worker count at the same group size; Fit resolves
-		// that from GroupSize and the checkpoint on its own.
+		// Single worker. -group > 1 (or a resumed group checkpoint) folds
+		// that many batches per step, which is bit-compatible with any
+		// worker count at the same group size; Fit resolves that from
+		// GroupSize and the checkpoint on its own.
 		n, err := models.Build(*modelName, mcfg)
 		if err != nil {
 			fail("%v", err)
@@ -267,7 +292,7 @@ func main() {
 		}
 		net = n
 
-	case *coord == "":
+	default:
 		// Local fleet: every rank is a goroutine in this process over an
 		// in-process loopback transport. Exercises the full reduce path
 		// (sharding, deterministic fold, group barrier) without sockets.
@@ -302,32 +327,6 @@ func main() {
 			}
 		}
 		net = nets[0] // all ranks hold bit-identical weights
-
-	default:
-		// Distributed fleet: this process is one rank; rank 0 is also the
-		// coordinator every other rank dials. Checkpoint paths must be on
-		// a filesystem all ranks can read (rank 0 alone writes).
-		var g *dist.Group
-		var err error
-		if *rank == 0 {
-			olog.Info("waiting for workers", "need", *workers-1, "coord", *coord)
-			g, err = dist.Listen(*coord, *workers, joinTimeout)
-		} else {
-			g, err = dist.Dial(*coord, *rank, *workers, joinTimeout)
-		}
-		if err != nil {
-			fail("%v", err)
-		}
-		defer g.Close() //nolint:errcheck // process exit follows
-		n, err := models.Build(*modelName, mcfg)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts.Reducer = dist.NewReducer(g)
-		if _, err := train.Fit(n, trainDS, opts); err != nil {
-			failFit(err)
-		}
-		net = n
 	}
 
 	// Evaluation and the final model write are rank 0's job; a joiner

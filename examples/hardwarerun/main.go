@@ -44,7 +44,7 @@ func main() {
 	nn.SetConvExecTail(net, nil)
 
 	// The same inference through the modeled hardware.
-	fe := fabric.NewExec(fabric.DefaultConfig(0))
+	fe := fabric.New(fabric.WithConfig(fabric.DefaultConfig(0)))
 	nn.SetConvExecTail(net, fe)
 	got := net.Forward(x, false)
 	acc := nn.Accuracy(got, y)
@@ -63,7 +63,7 @@ func main() {
 	t.Render(os.Stdout)
 
 	// Now with a real threshold: the executor skips insensitive outputs.
-	fe2 := fabric.NewExec(fabric.DefaultConfig(0.75))
+	fe2 := fabric.New(fabric.WithConfig(fabric.DefaultConfig(0.75)))
 	nn.SetConvExecTail(net, fe2)
 	got2 := net.Forward(x, false)
 	acc2 := nn.Accuracy(got2, y)

@@ -9,13 +9,13 @@
 //
 // The executor here is numerically exact with respect to that definition:
 // sensitive outputs equal the full INT-k convolution bit-for-bit, while
-// insensitive outputs carry only the high×high partial. The default
-// execution path runs the predictor and the sparse executor on bit-planar
+// insensitive outputs carry only the high×high partial. The one execution
+// path runs the predictor and the sparse executor on bit-planar
 // AND+POPCNT kernels (internal/tensor.Bitplanes) — the software analogue
 // of the paper's multi-precision PE array — and stays bit-identical to the
-// legacy int-GEMM predictor (retained behind WithIntGEMMPredictor) and to
-// the dense compute-then-select reference (WithDenseReference), because
-// every integer reduction is exact and the float fusion is shared.
+// dense compute-then-select reference (WithDenseReference), the parity
+// oracle, because every integer reduction is exact and the float fusion
+// is shared.
 package core
 
 import (
@@ -73,9 +73,6 @@ type Exec struct {
 	// dense selects the dense-compute-then-select reference path instead
 	// of the sparse executor (parity tests, benchmarks).
 	dense bool
-	// noBitplane selects the legacy int-GEMM predictor and scalar sparse
-	// executor instead of the bitplane kernels (benchmarks, ablation).
-	noBitplane bool
 	// workers caps result-generation parallelism (sample or outC
 	// fan-out); 0 means the full shared pool, 1 forces serial execution.
 	workers int
@@ -159,14 +156,6 @@ func WithDenseReference() Option {
 	return func(e *Exec) { e.dense = true }
 }
 
-// WithIntGEMMPredictor selects the legacy execution path — a batched
-// int-GEMM predictor followed by the scalar sparse executor — instead of
-// the default bitplane AND+POPCNT kernels. Bit-identical to the default;
-// kept for benchmarks and as an ablation baseline.
-func WithIntGEMMPredictor() Option {
-	return func(e *Exec) { e.noBitplane = true }
-}
-
 // PrecisionStat accumulates per-layer precision loss of ODQ relative to
 // the float convolution.
 type PrecisionStat struct {
@@ -222,12 +211,12 @@ func (e *Exec) Threshold() float32 { return e.threshold }
 func (e *Exec) lowBits() int { return e.bits - e.predBits }
 
 // weightCodes bundles a layer's cached high/low weight-code split with the
-// bit-planar forms the default kernels consume (one row per output
+// bit-planar forms the sparse kernels consume (one row per output
 // channel, InC·K·K lanes in the (kh, kw, c) order of
-// tensor.PackConvRows). The bitplanes are skipped on the legacy and
-// dense paths, which read the row-major int32 codes directly; the
-// high-density executor branch also reads the row-major codes, as the A
-// operand of its wide int-GEMM partials.
+// tensor.PackConvRows). The bitplanes are skipped on the dense reference
+// path, which reads the row-major int32 codes directly; the high-density
+// executor branch also reads the row-major codes, as the A operand of its
+// wide int-GEMM partials.
 type weightCodes struct {
 	hi, lo     *tensor.IntTensor
 	hiBP, loBP *tensor.Bitplanes
@@ -237,7 +226,7 @@ func (e *Exec) buildWeightCodes(layer *nn.Conv2D) *weightCodes {
 	q := quant.WeightCodes(layer.EffectiveWeight(), e.bits)
 	hi, lo := quant.SplitCodesRounded(q, e.lowBits(), true)
 	wc := &weightCodes{hi: hi, lo: lo}
-	if !e.dense && !e.noBitplane {
+	if !e.dense {
 		outC, inC, k := hi.Shape[0], hi.Shape[1], hi.Shape[2]
 		lanes := inC * k * k
 		wc.hiBP = tensor.NewBitplanes(outC, lanes, hi.Bits, true)
@@ -369,15 +358,15 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef
 		codes = tensor.GetUint8(total)
 	}
 	var out *tensor.Tensor
-	if epi == nil || e.dense || e.noBitplane {
+	if epi == nil || e.dense {
 		out = tensor.New(n, g.OutC, g.OutH, g.OutW)
 	}
 
 	var sensitive int64
-	if e.dense || e.noBitplane {
-		// Legacy two-stage path: batched int-GEMM predictor, then dense
-		// or scalar-sparse result generation, then (optionally) the
-		// epilogue as a post-pass over the float tensor.
+	if e.dense {
+		// Reference two-stage path: batched int-GEMM predictor, then
+		// dense result generation, then (optionally) the epilogue as a
+		// post-pass over the float tensor.
 		spPred := telemetry.StartSpan("odq.predictor")
 		predAcc := tensor.GetInt64(total)
 		quant.ConvAccumInto(predAcc, xh, wh, layer.Stride, layer.Pad)
@@ -388,11 +377,7 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef
 		spPred.End()
 
 		spExec := telemetry.StartSpan("odq.executor")
-		if e.dense {
-			e.resultDense(out, predAcc, mask, xh, xl, wh, wl, layer, predScale, sHL, sLH, sLL)
-		} else {
-			e.resultSparse(out, predAcc, mask, xh, xl, wh, wl, g, predScale, sHL, sLH, sLL)
-		}
+		e.resultDense(out, predAcc, mask, xh, xl, wh, wl, layer, predScale, sHL, sLH, sLL)
 		tensor.PutInt64(predAcc)
 		spExec.End()
 		if ev != nil {
@@ -478,7 +463,7 @@ func (e *Exec) maskSample(seg []int64, mseg []bool, predScale, th float32) {
 // the output — it only moves work.
 const bitplaneGEMMCutover = 0.45
 
-// resultBitplane is the default execution path: per sample, the high
+// resultBitplane is the sparse execution path: per sample, the high
 // activation codes are bitplane-packed straight from the [C,H,W] codes
 // (tensor.PackConvRows: one C-bit chunk per input pixel, rows assembled
 // by shift/OR; no im2col matrix is ever materialized), the sensitivity
@@ -488,7 +473,7 @@ const bitplaneGEMMCutover = 0.45
 // (tensor.BitplaneDot3) at low density, wide int-GEMM partials (weight
 // codes × im2col, the same orientation the dense path uses) above
 // bitplaneGEMMCutover. Exact integer arithmetic end to end keeps it
-// bit-identical to the int-GEMM paths; the shared fuse() keeps the float
+// bit-identical to the dense reference; the shared fuse() keeps the float
 // combination identical. Writes requantized codes directly when ev is
 // non-nil (fused epilogue), float partial sums into out otherwise.
 // Returns the sensitive count.
@@ -599,58 +584,10 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 	return sensitive
 }
 
-// resultSparse is the legacy sparse result generator: the HL/LH/LL
-// partials are computed only for sensitive outputs, as per-output scalar
-// dot products over the transposed im2col matrix (one contiguous row per
-// output position), parallel across output channels on the shared worker
-// pool.
-func (e *Exec) resultSparse(out *tensor.Tensor, predAcc []int64, mask []bool,
-	xh, xl, wh, wl *tensor.IntTensor, g tensor.ConvGeom,
-	predScale, sHL, sLH, sLL float32) {
-	n := xh.Shape[0]
-	rows, cols := g.ColRows(), g.ColCols()
-	xhT := tensor.GetInt32(rows * cols)
-	xlT := tensor.GetInt32(rows * cols)
-	per := g.InC * g.InH * g.InW
-	pool := tensor.DefaultPool()
-	for s := 0; s < n; s++ {
-		tensor.Im2colIntT(xh.Data[s*per:(s+1)*per], g, xhT)
-		tensor.Im2colIntT(xl.Data[s*per:(s+1)*per], g, xlT)
-		sampleBase := s * g.OutC * cols
-		pool.ParallelLimited(e.workers, g.OutC, func(oc int) {
-			whRow := wh.Data[oc*rows : (oc+1)*rows]
-			wlRow := wl.Data[oc*rows : (oc+1)*rows]
-			base := sampleBase + oc*cols
-			for j := 0; j < cols; j++ {
-				i := base + j
-				if !mask[i] {
-					out.Data[i] = float32(predAcc[i]) * predScale
-					continue
-				}
-				xhRow := xhT[j*rows : (j+1)*rows]
-				xlRow := xlT[j*rows : (j+1)*rows]
-				var hl, lh, ll int64
-				for p := 0; p < rows; p++ {
-					xhv := int64(xhRow[p])
-					xlv := int64(xlRow[p])
-					whv := int64(whRow[p])
-					wlv := int64(wlRow[p])
-					hl += xhv * wlv
-					lh += xlv * whv
-					ll += xlv * wlv
-				}
-				out.Data[i] = fuse(predAcc[i], hl, lh, ll, predScale, sHL, sLH, sLL)
-			}
-		})
-	}
-	tensor.PutInt32(xhT)
-	tensor.PutInt32(xlT)
-}
-
 // resultDense is the dense-compute-then-select reference: all three
 // partials are computed for every output and discarded where the mask is
-// false. Kept (behind WithDenseReference) as the parity oracle for the
-// sparse paths.
+// false. Kept (behind WithDenseReference) as the parity oracle for
+// resultBitplane.
 func (e *Exec) resultDense(out *tensor.Tensor, predAcc []int64, mask []bool,
 	xh, xl, wh, wl *tensor.IntTensor, layer *nn.Conv2D,
 	predScale, sHL, sLH, sLL float32) {

@@ -22,26 +22,15 @@ func NewAugmenter(pad int, flip bool, seed int64) *Augmenter {
 	return &Augmenter{Pad: pad, Flip: flip, seed: seed, rng: tensor.NewRNG(seed)}
 }
 
-// SeedEpoch rewinds the augmentation stream to a position derived only
-// from (base seed, epoch). The training loop calls this at every epoch
-// start so the stream consumed during epoch e does not depend on how
-// many draws earlier epochs made — which is what lets a run resumed from
-// an epoch-boundary checkpoint replay the exact augmentations an
-// uninterrupted run would have used.
-func (a *Augmenter) SeedEpoch(epoch int) {
-	// Golden-ratio mixing keeps adjacent epochs' streams uncorrelated.
-	a.rng = tensor.NewRNG(a.seed + int64(epoch)*0x9E3779B9)
-}
-
 // SeedBatch rewinds the stream to a position derived from (base seed,
-// epoch, batch). Group-synchronous data-parallel training reseeds before
-// every batch so the augmentations a batch receives depend only on its
-// global position — not on which worker ran it or what that worker
-// augmented earlier — which is what keeps N-worker runs bit-identical
-// to 1-worker runs.
+// epoch, batch). The training loop reseeds before every batch so the
+// augmentations a batch receives depend only on its global position —
+// not on which worker ran it or what that worker augmented earlier —
+// which keeps N-worker runs bit-identical to 1-worker runs and lets a
+// resumed run replay the exact augmentations of an uninterrupted one.
 func (a *Augmenter) SeedBatch(epoch, batch int) {
-	// A second mixing constant decorrelates the per-batch streams from
-	// each other and from the per-epoch stream SeedEpoch produces.
+	// Golden-ratio mixing keeps adjacent epochs' streams uncorrelated; a
+	// second constant decorrelates the per-batch streams from each other.
 	a.rng = tensor.NewRNG(a.seed + int64(epoch)*0x9E3779B9 + (int64(batch)+1)*0x85EBCA6B)
 }
 

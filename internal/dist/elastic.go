@@ -1,13 +1,16 @@
-// Elastic membership: the self-healing variant of the TCP join.
+// Elastic membership: the one TCP join.
 //
-// The classic join (tcp.go) forms one fixed-rank group and any later
-// transport failure is fatal to the whole fleet. The elastic flavor
-// keeps the coordinator's listener open for the life of the run and
-// adds a membership epoch: when the failure detector (heartbeat
-// deadlines, reduce.go) declares a peer dead, every survivor abandons
-// the in-flight step, the coordinator re-runs the join handshake at
-// whatever world size shows up — assigning fresh ranks in arrival
-// order — and training resumes from the last durable checkpoint.
+// Every TCP fleet forms through ElasticListen/NewElasticWorker: the
+// coordinator assigns ranks in arrival order and arms heartbeat
+// liveness on every link. A caller that joins once and trains with
+// plain train.Fit gets a fixed fleet in which a lost peer is fatal. The
+// self-healing caller (train.FitElastic) calls Join again after a
+// failure: the coordinator keeps its listener open for the life of the
+// run and adds a membership epoch, so when the failure detector
+// (heartbeat deadlines, reduce.go) declares a peer dead, every survivor
+// abandons the in-flight step, the coordinator re-runs the join
+// handshake at whatever world size shows up — assigning fresh ranks in
+// arrival order — and training resumes from the last durable checkpoint.
 // Because the training trajectory depends only on the sync-group size
 // (which travels in the checkpoint), the post-regroup run is
 // byte-identical to a fresh run at the surviving worker count.
@@ -236,14 +239,20 @@ func (c *ElasticCoordinator) form() (*Group, error) {
 		if conn == nil {
 			continue
 		}
+		// A misconfigured fleet must not start training: another protocol
+		// version or world size fails the formation on both sides.
+		reason := protoMismatch(h)
+		if reason == "" && h.world != 0 && int(h.world) != c.world {
+			reason = fmt.Sprintf("worker configured for world size %d, coordinator for %d", h.world, c.world)
+		}
+		if reason != "" {
+			c.reject(conn, reason)
+			cleanup()
+			return nil, errors.New("dist: " + reason)
+		}
 		if h.epoch != 0 {
 			c.reject(conn, fmt.Sprintf("membership epoch %d unknown, this run has not formed yet", h.epoch))
 			continue
-		}
-		if h.world != 0 && int(h.world) != c.world {
-			cleanup()
-			conn.Close()
-			return nil, fmt.Errorf("dist: worker configured for world size %d, coordinator for %d", h.world, c.world)
 		}
 		conns = append(conns, conn)
 	}
@@ -283,6 +292,10 @@ func (c *ElasticCoordinator) regroup() (*Group, error) {
 			break
 		}
 		if conn == nil {
+			continue
+		}
+		if reason := protoMismatch(h); reason != "" {
+			c.reject(conn, reason)
 			continue
 		}
 		if h.epoch != prevEpoch {

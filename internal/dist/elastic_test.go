@@ -80,24 +80,122 @@ func TestDialRetriesUntilCoordinatorListens(t *testing.T) {
 		err error
 	}
 	ch := make(chan joinRes, 1)
+	w := NewElasticWorker(addr, 2, elasticTestOpts)
+	defer w.Close()
 	go func() {
-		g, err := Dial(addr, 1, 2, 10*time.Second)
+		g, err := w.Join()
 		ch <- joinRes{g, err}
 	}()
 	// Let the worker rack up a few refused dials first.
 	time.Sleep(300 * time.Millisecond)
-	g0, err := Listen(addr, 2, 10*time.Second)
+	coord, err := ElasticListen(addr, 2, elasticTestOpts)
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	defer g0.Close()
+	defer coord.Close()
+	if _, err := coord.Join(); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
 	r := <-ch
 	if r.err != nil {
 		t.Fatalf("worker launched before the coordinator failed to join: %v", r.err)
 	}
-	defer r.g.Close()
 	if r.g.Rank() != 1 || r.g.World() != 2 {
 		t.Fatalf("joined as rank %d of %d, want 1 of 2", r.g.Rank(), r.g.World())
+	}
+}
+
+// helloPayload is a fresh joiner's hello as the elastic worker sends it,
+// with the protocol version and world size under the test's control.
+func helloPayload(proto, world uint32) []byte {
+	return appendHello(nil, hello{proto: proto, world: world, rank: rankAssign})
+}
+
+// formErr runs a world-2 formation against one joining byte stream the
+// test crafts, returning the coordinator's Join error.
+func formErr(t *testing.T, send func(c net.Conn)) error {
+	t.Helper()
+	opts := elasticTestOpts
+	opts.JoinTimeout = 500 * time.Millisecond
+	coord, err := ElasticListen("127.0.0.1:0", 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	hold := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c, err := net.DialTimeout("tcp", coord.Addr(), joinTimeout)
+		if err != nil {
+			t.Errorf("dial %s: %v", coord.Addr(), err)
+			return
+		}
+		defer c.Close()
+		send(c)
+		// Hold the conn open so a coordinator-side rejection, not our
+		// exit, decides the outcome.
+		<-hold
+	}()
+	_, jerr := coord.Join()
+	close(hold)
+	<-done
+	return jerr
+}
+
+// TestJoinRejectsBadHellos: a hello from another protocol version or
+// world size fails the formation loudly; bytes that are not a hello at
+// all are dropped, so the joiner is never admitted and the formation
+// runs out its window.
+func TestJoinRejectsBadHellos(t *testing.T) {
+	cases := []struct {
+		name string
+		send func(c net.Conn)
+		want string
+	}{
+		{"wrong protocol version",
+			func(c net.Conn) { WriteFrame(c, FrameHello, 0, helloPayload(protoVersion+1, 2)) }, //nolint:errcheck
+			"protocol"},
+		{"world size mismatch",
+			func(c net.Conn) { WriteFrame(c, FrameHello, 0, helloPayload(protoVersion, 3)) }, //nolint:errcheck
+			"world size"},
+		{"not a hello frame",
+			func(c net.Conn) { WriteFrame(c, FrameGrad, 0, []byte("gradient")) }, //nolint:errcheck
+			"0 of 1 workers joined"},
+		{"garbage bytes",
+			func(c net.Conn) { c.Write([]byte("GET / HTTP/1.1\r\nHost: localhost\r\n\r\n")) }, //nolint:errcheck
+			"0 of 1 workers joined"},
+		{"stalled joiner",
+			func(c net.Conn) { c.Write([]byte("ODQ")) }, //nolint:errcheck // less than one header, then silence
+			"0 of 1 workers joined"},
+	}
+	for _, tc := range cases {
+		err := formErr(t, tc.send)
+		if err == nil {
+			t.Errorf("%s: join succeeded, want rejection", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestJoinTimeout: a formation nobody joins must give up at JoinTimeout.
+func TestJoinTimeout(t *testing.T) {
+	opts := elasticTestOpts
+	opts.JoinTimeout = 200 * time.Millisecond
+	coord, err := ElasticListen("127.0.0.1:0", 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	start := time.Now()
+	if _, err := coord.Join(); err == nil {
+		t.Fatal("Join with no joiners succeeded")
+	}
+	if time.Since(start) > 3*time.Second {
+		t.Fatal("Join did not honor its timeout")
 	}
 }
 

@@ -185,10 +185,11 @@ func (r *Reducer) Reduce(step int64, groupSize int, local []BatchGrad, sum []flo
 		mReduceErrors.Inc()
 		// A failed reduce ends this group incarnation: stream sequence
 		// numbers and step boundaries are no longer aligned across the
-		// group. An elastic group abandons the epoch on purpose — the
+		// group. A TCP-joined group abandons the epoch on purpose — the
 		// abort frame unblocks every peer parked mid-protocol so it can
-		// rejoin the next epoch; a classic group just tears the transport
-		// down so blocked peers fail loudly instead of waiting forever.
+		// rejoin the next epoch; a group without a failure detector just
+		// tears the transport down so blocked peers fail loudly instead
+		// of waiting forever.
 		if r.g.hbTimeout > 0 {
 			r.g.Abort(err.Error())
 		} else {
@@ -214,9 +215,9 @@ func (r *Reducer) reduce(step int64, groupSize int, local []BatchGrad, sum []flo
 }
 
 // peerLost classifies a transport failure on the link to peer: in an
-// elastic group (failure detector armed) it becomes a recoverable
-// membership event the trainer regroups on; in a classic group it stays
-// fatal. Protocol violations never come through here — regrouping
+// TCP-joined group (failure detector armed) it becomes a recoverable
+// membership event an elastic trainer regroups on (plain train.Fit still
+// fails on it); in a group without a failure detector it stays fatal. Protocol violations never come through here — regrouping
 // cannot fix a logic bug and retrying would only mask one.
 func (r *Reducer) peerLost(peer int, err error) error {
 	if r.g.hbTimeout <= 0 {

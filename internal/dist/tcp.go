@@ -4,11 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // protoVersion guards against mixed binaries joining one run; bump it
@@ -20,10 +17,11 @@ import (
 const protoVersion = 3
 
 // helloLen is the FrameHello payload: u32 proto, u32 world (0 = rejoin,
-// accept whatever world forms), u32 rank (rankAssign = assign me one),
-// u64 run trace id (0 when the joiner has none; the coordinator's
-// welcome is authoritative either way), u64 membership epoch (0 = fresh
-// join; a rejoining survivor announces the epoch it last held).
+// accept whatever world forms), u32 rank (always rankAssign: the
+// coordinator assigns ranks in arrival order), u64 run trace id (0 when
+// the joiner has none; the coordinator's welcome is authoritative either
+// way), u64 membership epoch (0 = fresh join; a rejoining survivor
+// announces the epoch it last held).
 const helloLen = 28
 
 // welcomeLen is the FrameWelcome payload: u64 run trace id, u32
@@ -31,8 +29,8 @@ const helloLen = 28
 const welcomeLen = 24
 
 // rankAssign in a hello's rank field asks the coordinator to assign a
-// rank (elastic joins — ranks are an artifact of arrival order there,
-// not identity; the training trajectory depends only on the group size).
+// rank: ranks are an artifact of arrival order, not identity; the
+// training trajectory depends only on the group size.
 const rankAssign = 0xFFFFFFFF
 
 // hello is the decoded join announcement.
@@ -53,9 +51,10 @@ func appendHello(dst []byte, h hello) []byte {
 	return dst
 }
 
-// recvHello reads and validates the protocol envelope of a join
-// announcement (frame type, length, version); membership-level checks
-// (world, rank, epoch) belong to the caller.
+// recvHello reads and validates the frame envelope of a join
+// announcement (frame type, length); version and membership checks
+// (proto, world, epoch) belong to the caller, which can answer a
+// well-formed but unacceptable hello with the reason.
 func recvHello(conn Conn) (hello, error) {
 	t, payload, err := conn.Recv()
 	if err != nil {
@@ -74,10 +73,16 @@ func recvHello(conn Conn) (hello, error) {
 		runID: binary.LittleEndian.Uint64(payload[12:]),
 		epoch: binary.LittleEndian.Uint64(payload[20:]),
 	}
-	if h.proto != protoVersion {
-		return hello{}, fmt.Errorf("dist: worker speaks protocol %d, coordinator speaks %d (mixed binaries?)", h.proto, protoVersion)
-	}
 	return h, nil
+}
+
+// protoMismatch describes a hello from another protocol version, or
+// returns "" when the versions agree.
+func protoMismatch(h hello) string {
+	if h.proto == protoVersion {
+		return ""
+	}
+	return fmt.Sprintf("worker speaks protocol %d, coordinator speaks %d (mixed binaries?)", h.proto, protoVersion)
 }
 
 // welcome is the decoded join acceptance.
@@ -108,124 +113,6 @@ func decodeWelcome(payload []byte) (welcome, error) {
 	}, nil
 }
 
-// Coordinator is the listening side of a TCP join: rank 0 binds an
-// address, then Accept gathers one hello per non-root rank.
-type Coordinator struct {
-	ln net.Listener
-}
-
-// NewCoordinator binds the coordinator address. Use ":0" in tests to get
-// an ephemeral port via Addr.
-func NewCoordinator(addr string) (*Coordinator, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: coordinator listen: %w", err)
-	}
-	return &Coordinator{ln: ln}, nil
-}
-
-// Addr returns the bound listen address.
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// Close stops listening; joined connections stay open.
-func (c *Coordinator) Close() error { return c.ln.Close() }
-
-// Accept waits until every non-root rank has connected and announced
-// itself with a hello frame, then returns rank 0's group. A wrong
-// protocol version, a world-size mismatch, an out-of-range or duplicate
-// rank, or fewer than world-1 joins before the timeout all abort the
-// whole join: a misconfigured fleet must not start training.
-func (c *Coordinator) Accept(world int, timeout time.Duration) (*Group, error) {
-	if world < 2 {
-		return nil, fmt.Errorf("dist: TCP join needs world >= 2 (got %d); use Loopback for single-process runs", world)
-	}
-	deadline := time.Now().Add(timeout)
-	// The coordinator owns the run's correlation id: it adopts the
-	// process's trace id (generating one if unset) and hands it to every
-	// joiner in the welcome frame.
-	runID := telemetry.EnsureTraceID()
-	g := &Group{rank: 0, world: world, traceID: runID, conns: make([]Conn, world)}
-	cleanup := func() {
-		for _, conn := range g.conns {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-	}
-	for joined := 0; joined < world-1; joined++ {
-		if tl, ok := c.ln.(*net.TCPListener); ok {
-			tl.SetDeadline(deadline) //nolint:errcheck // best-effort timeout
-		}
-		raw, err := c.ln.Accept()
-		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("dist: %d of %d workers joined before error: %w", joined, world-1, err)
-		}
-		// The join deadline must also bound the hello read: a joiner that
-		// connects and then stalls (or speaks a non-frame protocol short
-		// of one header) would otherwise hang the whole fleet.
-		raw.SetReadDeadline(deadline) //nolint:errcheck // best-effort timeout
-		conn := NewStreamConn(raw)
-		rank, err := readClassicHello(conn, world)
-		if err != nil {
-			conn.Close()
-			cleanup()
-			return nil, err
-		}
-		raw.SetReadDeadline(time.Time{}) //nolint:errcheck // joined: back to blocking reads
-		if g.conns[rank] != nil {
-			conn.Close()
-			cleanup()
-			return nil, fmt.Errorf("dist: rank %d joined twice (duplicate -rank on two workers?)", rank)
-		}
-		// Hand the joiner the run id. Best-effort: a peer that dies right
-		// after its hello fails the reduce later with a clearer error than
-		// aborting the whole join here would give.
-		w := appendWelcome(nil, welcome{runID: runID, rank: uint32(rank), world: uint32(world)})
-		conn.Send(FrameWelcome, w) //nolint:errcheck // see above
-		g.conns[rank] = conn
-	}
-	c.ln.Close()
-	return g, nil
-}
-
-// readClassicHello validates a fixed-rank (non-elastic) join
-// announcement against the configured world.
-func readClassicHello(conn Conn, world int) (int, error) {
-	h, err := recvHello(conn)
-	if err != nil {
-		return 0, err
-	}
-	if int(h.world) != world {
-		return 0, fmt.Errorf("dist: worker configured for world size %d, coordinator for %d", h.world, world)
-	}
-	if h.rank == 0 || h.rank != rankAssign && int(h.rank) >= world {
-		return 0, fmt.Errorf("dist: joining worker announced rank %d, want 1..%d", h.rank, world-1)
-	}
-	if h.rank == rankAssign {
-		return 0, fmt.Errorf("dist: joining worker asked for rank assignment; this coordinator runs a fixed-rank join (use the elastic coordinator)")
-	}
-	if h.epoch != 0 {
-		return 0, fmt.Errorf("dist: joining worker announced membership epoch %d on a fixed-rank join (rejoins need the elastic coordinator)", h.epoch)
-	}
-	return int(h.rank), nil
-}
-
-// Listen is the one-shot coordinator entry point for CLIs with a fixed
-// address: bind, gather the fleet, return rank 0's group.
-func Listen(addr string, world int, timeout time.Duration) (*Group, error) {
-	c, err := NewCoordinator(addr)
-	if err != nil {
-		return nil, err
-	}
-	g, err := c.Accept(world, timeout)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	return g, nil
-}
-
 // dialJitter is the shared randomness for dial backoff; math/rand's
 // global source needs no seeding for this purpose, but the lock keeps
 // concurrent joiners' streams independent under -race.
@@ -249,79 +136,4 @@ func dialBackoff(attempt int, base, max time.Duration) time.Duration {
 	f := 0.5 + dialJitter.r.Float64() // [0.5, 1.5)
 	dialJitter.Unlock()
 	return time.Duration(float64(d) * f)
-}
-
-// dialRetry dials addr with bounded, jittered exponential backoff until
-// deadline: workers may legitimately start before the coordinator binds
-// its socket (start order must not matter), so connection refusals are
-// retried, never fatal, while the deadline holds.
-func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
-	for attempt := 0; ; attempt++ {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, fmt.Errorf("dist: could not reach coordinator %s before the join deadline", addr)
-		}
-		raw, err := net.DialTimeout("tcp", addr, remain)
-		if err == nil {
-			return raw, nil
-		}
-		wait := dialBackoff(attempt, 25*time.Millisecond, 500*time.Millisecond)
-		if remain := time.Until(deadline); wait > remain {
-			wait = remain
-		}
-		time.Sleep(wait)
-	}
-}
-
-// Dial connects a non-root worker to the coordinator — retrying with
-// jittered backoff while the coordinator is still coming up, so launch
-// order does not matter — and announces (rank, world) with a hello
-// frame.
-func Dial(addr string, rank, world int, timeout time.Duration) (*Group, error) {
-	if world < 2 || rank < 1 || rank >= world {
-		return nil, fmt.Errorf("dist: dialing rank must be in 1..%d (got rank %d, world %d)", world-1, rank, world)
-	}
-	deadline := time.Now().Add(timeout)
-	raw, err := dialRetry(addr, deadline)
-	if err != nil {
-		return nil, fmt.Errorf("dist: rank %d: %w", rank, err)
-	}
-	conn := NewStreamConn(raw)
-	h := appendHello(nil, hello{
-		proto: protoVersion,
-		world: uint32(world),
-		rank:  uint32(rank),
-		runID: telemetry.CurrentIdentity().TraceID,
-	})
-	if err := conn.Send(FrameHello, h); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dist: sending join hello: %w", err)
-	}
-	// The welcome closes the handshake: the coordinator's run id becomes
-	// this rank's correlation id for metrics, traces and logs.
-	raw.SetReadDeadline(deadline) //nolint:errcheck // best-effort timeout
-	t, payload, err := conn.Recv()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dist: rank %d waiting for join welcome: %w", rank, err)
-	}
-	if t != FrameWelcome {
-		conn.Close()
-		return nil, fmt.Errorf("dist: rank %d got %s frame (%d bytes) while waiting for the join welcome", rank, t, len(payload))
-	}
-	w, err := decodeWelcome(payload)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dist: rank %d: %w", rank, err)
-	}
-	if int(w.rank) != rank || int(w.world) != world {
-		conn.Close()
-		return nil, fmt.Errorf("dist: coordinator welcomed rank %d of world %d, this worker announced rank %d of world %d",
-			w.rank, w.world, rank, world)
-	}
-	raw.SetReadDeadline(time.Time{}) //nolint:errcheck // joined: back to blocking reads
-	telemetry.SetTraceID(w.runID)
-	conns := make([]Conn, world)
-	conns[0] = conn
-	return &Group{rank: rank, world: world, traceID: w.runID, conns: conns}, nil
 }

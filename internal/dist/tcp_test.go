@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"encoding/binary"
-	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -14,35 +12,45 @@ import (
 
 const joinTimeout = 5 * time.Second
 
-// joinTCP brings up a full TCP group on an ephemeral port and returns
-// one *Group per rank.
+// joinTCP brings up a full TCP group through the elastic join on an
+// ephemeral port and returns one *Group per rank (group rank order, which
+// is arrival order for the joiners).
 func joinTCP(t *testing.T, world int) []*Group {
 	t.Helper()
-	coord, err := NewCoordinator("127.0.0.1:0")
+	opts := ElasticOptions{JoinTimeout: joinTimeout}
+	coord, err := ElasticListen("127.0.0.1:0", world, opts)
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("ElasticListen: %v", err)
+	}
+	joined := make(chan *Group, world-1)
+	errs := make(chan error, world-1)
+	for r := 1; r < world; r++ {
+		go func() {
+			g, err := NewElasticWorker(coord.Addr(), world, opts).Join()
+			if err != nil {
+				errs <- err
+				return
+			}
+			joined <- g
+		}()
 	}
 	groups := make([]*Group, world)
-	errs := make([]error, world)
-	var wg sync.WaitGroup
-	for r := 1; r < world; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			groups[r], errs[r] = Dial(coord.Addr(), r, world, joinTimeout)
-		}(r)
+	if groups[0], err = coord.Join(); err != nil {
+		t.Fatalf("coordinator join: %v", err)
 	}
-	groups[0], errs[0] = coord.Accept(world, joinTimeout)
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d join: %v", r, err)
+	for r := 1; r < world; r++ {
+		select {
+		case g := <-joined:
+			groups[g.Rank()] = g
+		case err := <-errs:
+			t.Fatalf("worker join: %v", err)
 		}
 	}
 	t.Cleanup(func() {
 		for _, g := range groups {
 			g.Close()
 		}
+		coord.Close()
 	})
 	return groups
 }
@@ -98,120 +106,31 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 	return raw
 }
 
-func helloPayload(proto, world, rank uint32) []byte {
-	p := make([]byte, helloLen)
-	binary.LittleEndian.PutUint32(p[0:], proto)
-	binary.LittleEndian.PutUint32(p[4:], world)
-	binary.LittleEndian.PutUint32(p[8:], rank)
-	return p
-}
-
-// acceptErr runs a world-2 coordinator against a joining byte stream the
-// test crafts, returning Accept's error.
-func acceptErr(t *testing.T, world int, send func(c net.Conn)) error {
+// rawRoot returns rank 0's group over one real loopback TCP link —
+// assembled with NewGroup over the accepted socket, so no join handshake
+// and no liveness — and the raw worker end of that link, so fault tests
+// can speak frames as rank 1 byte by byte.
+func rawRoot(t *testing.T) (*Group, net.Conn) {
 	t.Helper()
-	coord, err := NewCoordinator("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	hold := make(chan struct{})
-	go func() {
-		c := dialRaw(t, coord.Addr())
-		defer c.Close()
-		send(c)
-		// Hold the conn open so a coordinator-side rejection, not our
-		// exit, decides the outcome.
-		<-hold
-	}()
-	_, aerr := coord.Accept(world, 2*time.Second)
-	close(hold)
-	return aerr
-}
-
-func TestJoinRejectsBadHellos(t *testing.T) {
-	cases := []struct {
-		name string
-		send func(c net.Conn)
-		want string
-	}{
-		{"wrong protocol version",
-			func(c net.Conn) { WriteFrame(c, FrameHello, 0, helloPayload(protoVersion+1, 2, 1)) }, //nolint:errcheck
-			"protocol"},
-		{"world size mismatch",
-			func(c net.Conn) { WriteFrame(c, FrameHello, 0, helloPayload(protoVersion, 3, 1)) }, //nolint:errcheck
-			"world size"},
-		{"rank zero from a joiner",
-			func(c net.Conn) { WriteFrame(c, FrameHello, 0, helloPayload(protoVersion, 2, 0)) }, //nolint:errcheck
-			"rank"},
-		{"rank out of range",
-			func(c net.Conn) { WriteFrame(c, FrameHello, 0, helloPayload(protoVersion, 2, 7)) }, //nolint:errcheck
-			"rank"},
-		{"not a hello frame",
-			func(c net.Conn) { WriteFrame(c, FrameGrad, 0, []byte("gradient")) }, //nolint:errcheck
-			"hello"},
-		{"garbage bytes",
-			func(c net.Conn) { c.Write([]byte("GET / HTTP/1.1\r\nHost: localhost\r\n\r\n")) }, //nolint:errcheck
-			""},
-		{"stalled joiner",
-			func(c net.Conn) { c.Write([]byte("ODQ")) }, //nolint:errcheck // less than one header, then silence
-			""},
-	}
-	for _, tc := range cases {
-		err := acceptErr(t, 2, tc.send)
-		if err == nil {
-			t.Errorf("%s: join succeeded, want rejection", tc.name)
-			continue
-		}
-		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-func TestJoinRejectsDuplicateRank(t *testing.T) {
-	coord, err := NewCoordinator("127.0.0.1:0")
+	defer ln.Close()
+	worker := dialRaw(t, ln.Addr().String())
+	raw, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	done := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		go func() {
-			c := dialRaw(t, coord.Addr())
-			defer c.Close()
-			WriteFrame(c, FrameHello, 0, helloPayload(protoVersion, 3, 1)) //nolint:errcheck
-			<-done
-		}()
-	}
-	_, aerr := coord.Accept(3, 2*time.Second)
-	close(done)
-	if aerr == nil || !strings.Contains(aerr.Error(), "twice") {
-		t.Fatalf("duplicate rank join: err = %v, want 'joined twice'", aerr)
-	}
-}
-
-func TestJoinTimeout(t *testing.T) {
-	coord, err := NewCoordinator("127.0.0.1:0")
+	g, err := NewGroup(0, 2, []Conn{nil, NewStreamConn(raw)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	start := time.Now()
-	if _, err := coord.Accept(2, 200*time.Millisecond); err == nil {
-		t.Fatal("Accept with no joiners succeeded")
-	}
-	if time.Since(start) > 3*time.Second {
-		t.Fatal("Accept did not honor its timeout")
-	}
-}
-
-func TestDialValidatesRank(t *testing.T) {
-	for _, bad := range [][2]int{{0, 2}, {2, 2}, {-1, 2}, {1, 1}} {
-		if _, err := Dial("127.0.0.1:1", bad[0], bad[1], time.Millisecond); err == nil {
-			t.Errorf("Dial(rank=%d, world=%d) succeeded", bad[0], bad[1])
-		}
-	}
+	t.Cleanup(func() {
+		worker.Close()
+		g.Close()
+	})
+	return g, worker
 }
 
 // corruptConn wraps a net.Conn and corrupts the Nth written byte with a
@@ -240,12 +159,9 @@ func (c *corruptConn) Write(p []byte) (int, error) {
 // produce a silently wrong sum.
 func TestTCPReduceDetectsWireCorruption(t *testing.T) {
 	// Corrupt a byte deep inside the worker's first gradient frame
-	// (past the 21-byte header: inside the float payload).
+	// (past the 21-byte header: inside the payload).
 	for _, target := range []int{frameHeaderLen + 30, frameHeaderLen + 64} {
-		coord, err := NewCoordinator("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		rootGroup, raw := rawRoot(t)
 		grad := make([]float32, 64)
 		for i := range grad {
 			grad[i] = float32(i)
@@ -254,34 +170,13 @@ func TestTCPReduceDetectsWireCorruption(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			raw := dialRaw(t, coord.Addr())
-			// Hello must arrive intact, so corruption targets offsets
-			// beyond the hello frame (frameHeaderLen + helloLen bytes).
-			cc := &corruptConn{Conn: raw, target: frameHeaderLen + helloLen + target, bit: 3}
-			conn := NewStreamConn(cc)
-			hello := helloPayload(protoVersion, 2, 1)
-			if workerErr = conn.Send(FrameHello, hello); workerErr != nil {
-				return
-			}
-			// Consume the coordinator's welcome (corruption only targets
-			// this worker's outbound bytes, so it arrives intact).
-			if ft, _, werr := conn.Recv(); werr != nil {
-				workerErr = werr
-				return
-			} else if ft != FrameWelcome {
-				workerErr = fmt.Errorf("got %s frame, want welcome", ft)
-				return
-			}
+			conn := NewStreamConn(&corruptConn{Conn: raw, target: target, bit: 3})
 			g, _ := NewGroup(1, 2, []Conn{conn, nil})
 			red := NewReducer(g)
 			defer red.Close()
 			sum := make([]float32, len(grad))
 			_, workerErr = red.Reduce(0, 2, []BatchGrad{{Index: 1, Grad: grad}}, sum)
 		}()
-		rootGroup, err := coord.Accept(2, joinTimeout)
-		if err != nil {
-			t.Fatalf("target %d: Accept: %v", target, err)
-		}
 		root := NewReducer(rootGroup)
 		sum := make([]float32, len(grad))
 		_, rootErr := root.Reduce(0, 2, []BatchGrad{{Index: 0, Grad: grad}}, sum)
@@ -299,34 +194,16 @@ func TestTCPReduceDetectsWireCorruption(t *testing.T) {
 // TestTCPReduceDetectsDeadPeer: a worker dying mid-gather (stream
 // truncation at the transport level) must fail the root loudly.
 func TestTCPReduceDetectsDeadPeer(t *testing.T) {
-	coord, err := NewCoordinator("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rootGroup, raw := rawRoot(t)
 	grad := []float32{1, 2, 3, 4}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		raw := dialRaw(t, coord.Addr())
-		conn := NewStreamConn(raw)
-		conn.Send(FrameHello, helloPayload(protoVersion, 2, 1)) //nolint:errcheck
-		// Send one gradient frame, then die before grad-end: the root
-		// sees the stream cut mid-step.
-		var enc []byte
-		enc = appendGradPayload(enc, 0, 0, &BatchGrad{Index: 1, Grad: grad})
-		conn.Send(FrameGrad, enc) //nolint:errcheck
-		conn.Close()
-	}()
-	rootGroup, err := coord.Accept(2, joinTimeout)
-	if err != nil {
-		t.Fatalf("Accept: %v", err)
-	}
+	// Send one gradient frame, then die before grad-end: the root sees
+	// the stream cut mid-step.
+	conn := NewStreamConn(raw)
+	conn.Send(FrameGrad, appendGradPayload(nil, 0, 0, &BatchGrad{Index: 1, Grad: grad})) //nolint:errcheck
+	conn.Close()
 	root := NewReducer(rootGroup)
-	defer root.Close()
 	sum := make([]float32, len(grad))
-	_, rootErr := root.Reduce(0, 2, []BatchGrad{{Index: 0, Grad: grad}}, sum)
-	<-done
-	if rootErr == nil {
+	if _, err := root.Reduce(0, 2, []BatchGrad{{Index: 0, Grad: grad}}, sum); err == nil {
 		t.Fatal("reduce with a dead peer completed cleanly")
 	}
 }
@@ -334,32 +211,15 @@ func TestTCPReduceDetectsDeadPeer(t *testing.T) {
 // TestTCPReduceDetectsDuplicatedFrame: a replayed gradient frame carries
 // a stale sequence number and must be rejected at the codec layer.
 func TestTCPReduceDetectsDuplicatedFrame(t *testing.T) {
-	coord, err := NewCoordinator("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rootGroup, raw := rawRoot(t)
 	grad := []float32{1, 2, 3, 4}
-	hold := make(chan struct{})
-	go func() {
-		raw := dialRaw(t, coord.Addr())
-		defer raw.Close()
-		WriteFrame(raw, FrameHello, 0, helloPayload(protoVersion, 2, 1)) //nolint:errcheck
-		var enc []byte
-		enc = appendGradPayload(enc, 0, 0, &BatchGrad{Index: 1, Grad: grad})
-		// Replay: the same frame (same seq) twice — a duplicated segment.
-		WriteFrame(raw, FrameGrad, 1, enc) //nolint:errcheck
-		WriteFrame(raw, FrameGrad, 1, enc) //nolint:errcheck
-		<-hold
-	}()
-	rootGroup, err := coord.Accept(2, joinTimeout)
-	if err != nil {
-		t.Fatalf("Accept: %v", err)
-	}
+	enc := appendGradPayload(nil, 0, 0, &BatchGrad{Index: 1, Grad: grad})
+	// Replay: the same frame (same seq) twice — a duplicated segment.
+	WriteFrame(raw, FrameGrad, 0, enc) //nolint:errcheck
+	WriteFrame(raw, FrameGrad, 0, enc) //nolint:errcheck
 	root := NewReducer(rootGroup)
-	defer root.Close()
 	sum := make([]float32, len(grad))
 	_, rootErr := root.Reduce(0, 2, []BatchGrad{{Index: 0, Grad: grad}}, sum)
-	close(hold)
 	if rootErr == nil || !strings.Contains(rootErr.Error(), "sequence") {
 		t.Fatalf("duplicated frame: err = %v, want sequence violation", rootErr)
 	}
@@ -368,33 +228,16 @@ func TestTCPReduceDetectsDuplicatedFrame(t *testing.T) {
 // TestTCPReduceDetectsReorderedFrames: frames written out of sequence
 // order must be rejected at the codec layer.
 func TestTCPReduceDetectsReorderedFrames(t *testing.T) {
-	coord, err := NewCoordinator("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rootGroup, raw := rawRoot(t)
 	grad := []float32{1, 2, 3, 4}
-	hold := make(chan struct{})
-	go func() {
-		raw := dialRaw(t, coord.Addr())
-		defer raw.Close()
-		WriteFrame(raw, FrameHello, 0, helloPayload(protoVersion, 2, 1)) //nolint:errcheck
-		var g, e []byte
-		g = appendGradPayload(g, 0, 0, &BatchGrad{Index: 1, Grad: grad})
-		e = appendEndPayload(e, 0, 0, 1, nil)
-		// Swap the wire order of seq 1 and seq 2.
-		WriteFrame(raw, FrameGradEnd, 2, e) //nolint:errcheck
-		WriteFrame(raw, FrameGrad, 1, g)    //nolint:errcheck
-		<-hold
-	}()
-	rootGroup, err := coord.Accept(2, joinTimeout)
-	if err != nil {
-		t.Fatalf("Accept: %v", err)
-	}
+	g := appendGradPayload(nil, 0, 0, &BatchGrad{Index: 1, Grad: grad})
+	e := appendEndPayload(nil, 0, 0, 1, nil)
+	// Swap the wire order of seq 0 and seq 1.
+	WriteFrame(raw, FrameGradEnd, 1, e) //nolint:errcheck
+	WriteFrame(raw, FrameGrad, 0, g)    //nolint:errcheck
 	root := NewReducer(rootGroup)
-	defer root.Close()
 	sum := make([]float32, len(grad))
 	_, rootErr := root.Reduce(0, 2, []BatchGrad{{Index: 0, Grad: grad}}, sum)
-	close(hold)
 	if rootErr == nil || !strings.Contains(rootErr.Error(), "sequence") {
 		t.Fatalf("reordered frames: err = %v, want sequence violation", rootErr)
 	}

@@ -49,7 +49,8 @@ type streamConn struct {
 
 	// nc is rwc when the stream supports deadlines (net.TCPConn and
 	// net.Pipe both do); nil otherwise. recvTimeout/sendTimeout of 0
-	// leave the stream fully blocking — the classic, non-elastic mode.
+	// leave the stream fully blocking, as on loopback and hand-assembled
+	// links.
 	nc          net.Conn
 	recvTimeout time.Duration
 	sendTimeout time.Duration
@@ -134,10 +135,10 @@ type Group struct {
 	rank    int
 	world   int
 	traceID uint64 // run correlation id shared by the whole group (0 = untraced)
-	epoch   uint64 // membership epoch (0 for non-elastic groups)
+	epoch   uint64 // membership epoch (0 for loopback and NewGroup groups)
 	conns   []Conn // indexed by peer rank; nil where no link exists
 
-	// Liveness config, set by startLiveness for elastic groups: hbTimeout
+	// Liveness config, set by startLiveness for TCP-joined groups: hbTimeout
 	// > 0 makes the reducer treat transport failures and frame-deadline
 	// expiries as recoverable peer loss instead of fatal errors.
 	hbTimeout time.Duration
@@ -173,14 +174,14 @@ func (g *Group) World() int { return g.world }
 // loopback groups, 0 for hand-assembled (NewGroup) test groups.
 func (g *Group) TraceID() uint64 { return g.traceID }
 
-// Epoch returns the membership epoch: 0 for classic (non-elastic)
-// groups, and the coordinator-assigned incarnation counter for elastic
+// Epoch returns the membership epoch: 0 for loopback and NewGroup
+// groups, and the coordinator-assigned incarnation counter for TCP-joined
 // ones — it increments on every regroup and stale-epoch rejoins are
 // rejected.
 func (g *Group) Epoch() uint64 { return g.epoch }
 
 // HeartbeatTimeout returns the liveness deadline armed on this group's
-// links, or 0 for a classic group with no failure detector.
+// links, or 0 for a loopback or NewGroup group with no failure detector.
 func (g *Group) HeartbeatTimeout() time.Duration { return g.hbTimeout }
 
 // conn returns the link to peer, which must exist in this topology.

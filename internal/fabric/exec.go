@@ -67,14 +67,6 @@ func New(opts ...Option) *Exec {
 	return e
 }
 
-// NewExec builds a fabric-backed executor from a bare Config.
-//
-// Deprecated: use New(WithConfig(cfg)) — the functional-options
-// constructor shared by the whole executor family.
-func NewExec(cfg Config) *Exec {
-	return New(WithConfig(cfg))
-}
-
 // weights returns cached integer weight codes for a layer. Quantization
 // runs outside the lock; the result is stored only if no InvalidateCache
 // intervened (generation check), so an in-flight Conv can never

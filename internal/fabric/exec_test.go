@@ -16,7 +16,7 @@ func TestFabricExecMatchesStaticINT4AllSensitive(t *testing.T) {
 	x := tensor.New(2, 1, 28, 28)
 	tensor.NewRNG(2).FillUniform(x, 0, 1)
 
-	fe := NewExec(DefaultConfig(0))
+	fe := New(WithConfig(DefaultConfig(0)))
 	nn.SetConvExecTail(net, fe)
 	got := net.Forward(x, false)
 	nn.SetConvExecTail(net, nil)
@@ -44,7 +44,7 @@ func TestFabricExecMidThresholdRuns(t *testing.T) {
 	x := tensor.New(1, 1, 28, 28)
 	tensor.NewRNG(4).FillUniform(x, 0, 1)
 
-	fe := NewExec(DefaultConfig(0.8))
+	fe := New(WithConfig(DefaultConfig(0.8)))
 	nn.SetConvExecTail(net, fe)
 	out := net.Forward(x, false)
 	nn.SetConvExecTail(net, nil)

@@ -81,17 +81,18 @@ func TestPackedPipelineBitIdentical(t *testing.T) {
 }
 
 // TestPackedPipelineLegacyExecutorParity cross-checks the packed pipeline
-// against the legacy int-GEMM executor path end to end: two independent
-// implementations of the same arithmetic must agree bit-for-bit.
+// against the dense-reference executor on the float round-trip path end
+// to end: two independent implementations of the same arithmetic must
+// agree bit-for-bit.
 func TestPackedPipelineLegacyExecutorParity(t *testing.T) {
 	rng := tensor.NewRNG(78)
 	net := buildPackedTestNet(rng)
 	x := tensor.New(2, 3, 7, 7)
 	rng.FillUniform(x, 0, 1)
 
-	legacy := NewSessionFromExecutor(net, "odq", core.NewExec(0.6, core.WithIntGEMMPredictor()), true)
-	want := legacy.Forward(x)
-	legacy.Close()
+	ref := NewSessionFromExecutor(net, "odq", core.NewExec(0.6, core.WithDenseReference()), true)
+	want := ref.Forward(x)
+	ref.Close()
 
 	sess := NewSessionFromExecutor(net, "odq", core.NewExec(0.6), true)
 	if err := sess.EnablePackedDomain(); err != nil {
@@ -101,7 +102,7 @@ func TestPackedPipelineLegacyExecutorParity(t *testing.T) {
 	sess.Close()
 	for i := range got.Data {
 		if got.Data[i] != want.Data[i] {
-			t.Fatalf("output %d differs: packed-bitplane %v legacy %v", i, got.Data[i], want.Data[i])
+			t.Fatalf("output %d differs: packed-bitplane %v dense reference %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }

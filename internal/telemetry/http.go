@@ -1,21 +1,10 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
 )
-
-// varsHandler serves an expvar-style JSON snapshot of the default
-// registry. It reads Default() per request, so a swapped registry is
-// picked up immediately.
-func varsHandler(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(Snapshot()) //nolint:errcheck // best-effort debug endpoint
-}
 
 // traceHandler serves the span ring as Chrome trace JSON (load the saved
 // response in Perfetto).
@@ -31,10 +20,6 @@ func promHandler(w http.ResponseWriter, _ *http.Request) {
 	Default().WritePrometheus(w) //nolint:errcheck // best-effort debug endpoint
 }
 
-// Handler returns the metrics snapshot handler alone (for embedding in an
-// existing mux).
-func Handler() http.Handler { return http.HandlerFunc(varsHandler) }
-
 // PrometheusHandler returns the /metrics handler alone (for embedding
 // in an existing mux).
 func PrometheusHandler() http.Handler { return http.HandlerFunc(promHandler) }
@@ -43,13 +28,11 @@ func PrometheusHandler() http.Handler { return http.HandlerFunc(promHandler) }
 //
 //	/metrics      Prometheus text exposition (scrapable; includes fleet
 //	              peer snapshots on a training root)
-//	/debug/vars   expvar-style JSON snapshot of all metrics
 //	/debug/trace  Chrome trace JSON of the span ring
 //	/debug/pprof  the standard net/http/pprof handlers
 func DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", promHandler)
-	mux.HandleFunc("/debug/vars", varsHandler)
 	mux.HandleFunc("/debug/trace", traceHandler)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -115,7 +115,6 @@ func TestDebugMuxEndpoints(t *testing.T) {
 		wantType string
 	}{
 		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/debug/vars", "application/json; charset=utf-8"},
 		{"/debug/trace", "application/json; charset=utf-8"},
 		{"/debug/pprof/", "text/html; charset=utf-8"},
 	}
@@ -174,7 +173,7 @@ func TestConcurrentScrapeAndWrite(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < iters/4; i++ {
-					for _, path := range []string{"/metrics", "/debug/vars", "/debug/trace"} {
+					for _, path := range []string{"/metrics", "/debug/trace"} {
 						resp, err := srv.Client().Get(srv.URL + path)
 						if err != nil {
 							t.Errorf("%s: %v", path, err)

@@ -2,7 +2,7 @@
 // long-running commands (odq-train, odq-infer, odq-bench, odq-serve)
 // share the same flags:
 //
-//	-debug-addr :6060     serve /metrics, /debug/vars, /debug/trace, /debug/pprof
+//	-debug-addr :6060     serve /metrics, /debug/trace, /debug/pprof
 //	-trace-out trace.json write a Chrome trace (Perfetto-loadable) on exit
 //	-metrics-out m.json   write a metrics snapshot on exit
 //	-trace-id 0f3a...     join an existing run's trace correlation id
@@ -37,7 +37,7 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.DebugAddr, "debug-addr", "",
-		"serve /metrics, /debug/vars, /debug/trace and /debug/pprof on this address (e.g. :6060)")
+		"serve /metrics, /debug/trace and /debug/pprof on this address (e.g. :6060)")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"write a Chrome trace-event JSON file (load in Perfetto, merge ranks with odq-tracemerge) on exit")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "",
@@ -83,7 +83,7 @@ func (f *Flags) Activate() (flush func() error, err error) {
 		// srv.Addr is the actually bound address, so ":0" callers (the
 		// serve smoke test) learn their ephemeral port from this line.
 		olog.Info("telemetry debug server listening", "addr", srv.Addr,
-			"endpoints", "/metrics /debug/vars /debug/trace /debug/pprof")
+			"endpoints", "/metrics /debug/trace /debug/pprof")
 	}
 	return f.flush, nil
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -85,7 +86,11 @@ func assertTraceWellFormed(t *testing.T, data []byte) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatalf("trace does not round-trip: %v", err)
 	}
-	laneEnd := map[int]float64{}
+	// Lane ends are compared in the exporter's integer nanoseconds: summing
+	// the float µs fields can round a few ulps past the next span's start
+	// even when the spans abut exactly.
+	ns := func(us float64) int64 { return int64(math.Round(us * 1e3)) }
+	laneEnd := map[int]int64{}
 	var prevTs float64
 	sawSpan := false
 	for i, ev := range f.TraceEvents {
@@ -108,11 +113,11 @@ func assertTraceWellFormed(t *testing.T, data []byte) {
 		if ev.Dur < 0 {
 			t.Fatalf("event %d: negative dur %v", i, ev.Dur)
 		}
-		if end, ok := laneEnd[ev.Tid]; ok && ev.Ts < end {
-			t.Fatalf("event %d (%s): overlaps previous span on tid %d (ts %v < lane end %v)",
-				i, ev.Name, ev.Tid, ev.Ts, end)
+		if end, ok := laneEnd[ev.Tid]; ok && ns(ev.Ts) < end {
+			t.Fatalf("event %d (%s): overlaps previous span on tid %d (ts %dns < lane end %dns)",
+				i, ev.Name, ev.Tid, ns(ev.Ts), end)
 		}
-		laneEnd[ev.Tid] = ev.Ts + ev.Dur
+		laneEnd[ev.Tid] = ns(ev.Ts) + ns(ev.Dur)
 	}
 }
 

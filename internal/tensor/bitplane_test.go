@@ -15,6 +15,33 @@ func scalarDot(a, b []int32) int64 {
 	return s
 }
 
+// im2colIntT is the packing oracle: the transposed integer column matrix
+// [OutH*OutW][C*K*K], each output position's receptive field one
+// contiguous row in (c, kh, kw) order — the order of a row-major weight
+// row [O][C,K,K] — with zeros for padding taps.
+func im2colIntT(src []int32, g ConvGeom, dst []int32) {
+	rows := g.ColRows()
+	for oh := 0; oh < g.OutH; oh++ {
+		for ow := 0; ow < g.OutW; ow++ {
+			row := dst[(oh*g.OutW+ow)*rows:]
+			idx := 0
+			for c := 0; c < g.InC; c++ {
+				for kh := 0; kh < g.K; kh++ {
+					ih := oh*g.Stride - g.Pad + kh
+					for kw := 0; kw < g.K; kw++ {
+						iw := ow*g.Stride - g.Pad + kw
+						row[idx] = 0
+						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+							row[idx] = src[(c*g.InH+ih)*g.InW+iw]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
+}
+
 // randCodes fills a slice with codes valid for the given plane count and
 // signedness.
 func randCodes(rng *RNG, n, planes int, signed bool) []int32 {
@@ -212,7 +239,7 @@ func TestPackConvRowsParity(t *testing.T) {
 						for _, ws := range sides {
 							x := randCodes(rng, inC*h*w, xs.planes, xs.signed)
 							wc := randCodes(rng, outC*rows, ws.planes, ws.signed)
-							Im2colIntT(x, g, xT)
+							im2colIntT(x, g, xT)
 							xbp := poisonedBitplanes(cols, rows, xs.planes, xs.signed)
 							PackConvRows(x, g, xbp)
 							wbp := NewBitplanes(outC, rows, ws.planes, ws.signed)
@@ -247,8 +274,8 @@ func TestPackConvRowsParity(t *testing.T) {
 						wh.PackConvWeights(whC, inC, k)
 						wl.PackConvWeights(wlC, inC, k)
 						xhT, xlT := make([]int32, rows*cols), make([]int32, rows*cols)
-						Im2colIntT(xhC, g, xhT)
-						Im2colIntT(xlC, g, xlT)
+						im2colIntT(xhC, g, xhT)
+						im2colIntT(xlC, g, xlT)
 						for j := 0; j < cols; j++ {
 							for oc := 0; oc < outC; oc++ {
 								hl, lh, ll := BitplaneDot3(xh, xl, j, wh, wl, oc)

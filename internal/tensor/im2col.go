@@ -115,59 +115,6 @@ func Im2colInt(src []int32, g ConvGeom, dst []int32) {
 	}
 }
 
-// Im2colIntT writes the TRANSPOSED integer column matrix: dst has shape
-// [OutH*OutW, C*K*K] (row-major), so each output position's receptive
-// field is one contiguous row in (c, kh, kw) order — the same order as a
-// weight-code row [O][C,K,K]. The legacy scalar sparse executor uses this
-// to turn a masked output into a single contiguous dot product.
-func Im2colIntT(src []int32, g ConvGeom, dst []int32) {
-	rows, cols := g.ColRows(), g.ColCols()
-	if len(dst) < rows*cols {
-		panic("tensor: Im2colIntT dst too small")
-	}
-	kk := g.K * g.K
-	pos := 0
-	for oh := 0; oh < g.OutH; oh++ {
-		ihBase := oh*g.Stride - g.Pad
-		for ow := 0; ow < g.OutW; ow++ {
-			iwBase := ow*g.Stride - g.Pad
-			dstRow := dst[pos*rows : (pos+1)*rows]
-			interior := iwBase >= 0 && iwBase+g.K <= g.InW
-			for c := 0; c < g.InC; c++ {
-				chanBase := c * g.InH * g.InW
-				out := dstRow[c*kk : (c+1)*kk]
-				idx := 0
-				for kh := 0; kh < g.K; kh++ {
-					ih := ihBase + kh
-					if ih < 0 || ih >= g.InH {
-						for kw := 0; kw < g.K; kw++ {
-							out[idx] = 0
-							idx++
-						}
-						continue
-					}
-					rowBase := chanBase + ih*g.InW
-					if interior {
-						copy(out[idx:idx+g.K], src[rowBase+iwBase:rowBase+iwBase+g.K])
-						idx += g.K
-						continue
-					}
-					for kw := 0; kw < g.K; kw++ {
-						iw := iwBase + kw
-						if iw < 0 || iw >= g.InW {
-							out[idx] = 0
-						} else {
-							out[idx] = src[rowBase+iw]
-						}
-						idx++
-					}
-				}
-			}
-			pos++
-		}
-	}
-}
-
 // Col2im scatters the column-matrix gradient back to an input-gradient
 // buffer (the adjoint of Im2col). dst has layout [C,H,W] and is accumulated
 // into (callers zero it first).

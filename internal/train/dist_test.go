@@ -2,18 +2,21 @@ package train
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -97,50 +100,70 @@ func fitWorld(t *testing.T, world int, opts Options) ([]*nn.Sequential, []*Histo
 	return nets, hists
 }
 
-// TestGroupModeMatchesLegacy: with group size 1 and no augmentation,
-// the group-synchronous loop must walk the exact float trajectory of
-// the classic per-batch loop — weights, history and checkpoint FILE
-// BYTES all bit-identical. This is what lets pre-scale-out checkpoints
-// resume seamlessly.
-func TestGroupModeMatchesLegacy(t *testing.T) {
+// TestFitMatchesStepLoop pins Fit's one training loop to the per-batch
+// reference: with no reducer (a fleet of one, G = 1) it must walk the
+// exact float trajectory of a hand loop of Step over the seed-keyed
+// shuffle with the same LR drops — weights, batch-norm running
+// statistics and history all bit-identical. An explicit dist.Local{}
+// reducer must write the very same checkpoint bytes as a nil one.
+func TestFitMatchesStepLoop(t *testing.T) {
 	dir := t.TempDir()
 	ds := resumeData()
-	base := Options{
+	opts := Options{
 		Epochs: 3, BatchSize: 16, LR: 0.05, Momentum: 0.9, Decay: 1e-4,
-		Seed: 41, LRDropEvery: 2, CkptEvery: 1,
+		Seed: 41, LRDropEvery: 2, CkptEvery: 1, CkptPath: filepath.Join(dir, "nil.ckpt"),
 	}
-
-	legacy := resumeNet(7)
-	lo := base
-	lo.CkptPath = filepath.Join(dir, "legacy.ckpt")
-	lh, err := Fit(legacy, ds, lo)
+	fitted := resumeNet(7)
+	hist, err := Fit(fitted, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	grouped := resumeNet(7)
-	gopts := base
-	gopts.CkptPath = filepath.Join(dir, "group.ckpt")
-	gopts.Reducer = dist.Local{} // forces the group loop, G = world = 1
-	gh, err := Fit(grouped, ds, gopts)
-	if err != nil {
-		t.Fatal(err)
+	ref := resumeNet(7)
+	opt := NewSGD(opts.LR, opts.Momentum, opts.Decay)
+	params := ref.Params()
+	want := &History{}
+	for epoch := 0; epoch < opts.Epochs; epoch++ {
+		if epoch > 0 && epoch%opts.LRDropEvery == 0 {
+			opt.LR /= 2
+		}
+		var lossSum float64
+		var correct, seen int
+		for _, idx := range ds.Batches(opts.BatchSize, true, opts.Seed+int64(epoch)) {
+			x, y := ds.Batch(idx)
+			loss, logits := Step(ref, x, y, opt, params)
+			lossSum += float64(loss) * float64(len(idx))
+			for i, p := range logits.ArgmaxRows() {
+				if p == y[i] {
+					correct++
+				}
+			}
+			seen += len(idx)
+		}
+		want.Loss = append(want.Loss, float32(lossSum/float64(seen)))
+		want.TrainAcc = append(want.TrainAcc, float64(correct)/float64(seen))
+	}
+	assertStatesEqual(t, "Fit vs Step loop", stateOf(t, ref), stateOf(t, fitted))
+	if !reflect.DeepEqual(want, hist) {
+		t.Fatalf("history mismatch:\nStep loop %+v\nFit       %+v", want, hist)
 	}
 
-	assertStatesEqual(t, "legacy vs group", stateOf(t, legacy), stateOf(t, grouped))
-	if !reflect.DeepEqual(lh, gh) {
-		t.Fatalf("history mismatch:\nlegacy %+v\ngroup  %+v", lh, gh)
+	lo := opts
+	lo.CkptPath = filepath.Join(dir, "local.ckpt")
+	lo.Reducer = dist.Local{}
+	if _, err := Fit(resumeNet(7), ds, lo); err != nil {
+		t.Fatal(err)
+	}
+	nb, err := os.ReadFile(opts.CkptPath)
+	if err != nil {
+		t.Fatal(err)
 	}
 	lb, err := os.ReadFile(lo.CkptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := os.ReadFile(gopts.CkptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lb, gb) {
-		t.Fatal("legacy and group-of-1 checkpoints must be bit-identical files")
+	if !bytes.Equal(nb, lb) {
+		t.Fatal("nil and dist.Local{} reducers must write bit-identical checkpoint files")
 	}
 }
 
@@ -267,15 +290,133 @@ func TestResumeGroupSizeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestGroupModeRejectsRollback: rolling back one worker of a fleet
-// would desynchronize it, so the combination must be refused upfront.
-func TestGroupModeRejectsRollback(t *testing.T) {
-	_, err := Fit(resumeNet(7), resumeData(), Options{
-		Epochs: 1, BatchSize: 16, LR: 0.05, Seed: 41,
-		Reducer: dist.Local{}, NaNPolicy: NaNRollback,
-	})
-	if err == nil || !strings.Contains(err.Error(), "NaNRollback") {
-		t.Fatalf("rollback in group mode: err = %v, want rejection", err)
+// sentinelPoison wraps a module and turns its training-mode forward
+// output to NaN the fireAt-th time a batch holding the sentinel sample
+// (first pixel == mark) passes through. The trigger is keyed on the data,
+// not on a call count, so it fires on the same global batch whichever
+// rank computes it; seen is shared by every rank of one run.
+type sentinelPoison struct {
+	nn.Module
+	mark   float32
+	fireAt int32
+	seen   *atomic.Int32
+}
+
+func (p *sentinelPoison) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	out := p.Module.Forward(x, train)
+	if !train {
+		return out
+	}
+	per := len(x.Data) / x.Shape[0]
+	for s := 0; s < x.Shape[0]; s++ {
+		if x.Data[s*per] == p.mark && p.seen.Add(1) == p.fireAt {
+			for i := range out.Data {
+				out.Data[i] = float32(math.NaN())
+			}
+		}
+	}
+	return out
+}
+
+// TestNaNRollbackFleetMatchesSingle: NaNRollback is decided from the
+// reduced Bad metadata, so a 2-worker fleet rolls back in lockstep and
+// ends byte-identical to a single worker at the same sync group — same
+// weights on every rank, same history, same checkpoint bytes, one
+// restore per rank. The poison fires once, on the sentinel's batch in
+// the second epoch, so the restore lands on the epoch-1 snapshot.
+func TestNaNRollbackFleetMatchesSingle(t *testing.T) {
+	const world, mark = 2, -1
+	dir := t.TempDir()
+	ds := resumeData()
+	ds.X.Data[ds.X.Len()/ds.Len()*5] = mark // sample 5 is the sentinel
+	opts := Options{
+		Epochs: 3, BatchSize: 16, LR: 0.05, Momentum: 0.9, Decay: 1e-4,
+		Seed: 41, GroupSize: 2, CkptEvery: 1, NaNPolicy: NaNRollback,
+	}
+	poisoned := func(seen *atomic.Int32) *nn.Sequential {
+		net := resumeNet(7)
+		net.Modules[0] = &sentinelPoison{Module: net.Modules[0], mark: mark, fireAt: 2, seen: seen}
+		return net
+	}
+	rollbacks := telemetry.GetCounter("train.nan_rollbacks")
+	telemetry.Enable()
+	defer telemetry.Disable()
+
+	var singleSeen atomic.Int32
+	single := poisoned(&singleSeen)
+	so := opts
+	so.CkptPath = filepath.Join(dir, "single.ckpt")
+	var singleLog bytes.Buffer
+	so.Log = &singleLog
+	before := rollbacks.Value()
+	singleHist, err := Fit(single, ds, so)
+	if err != nil {
+		t.Fatalf("single worker: %v", err)
+	}
+	singleRollbacks := rollbacks.Value() - before
+	if singleRollbacks != 1 {
+		t.Fatalf("single worker rolled back %d times, want 1 (poison fired %d sentinel sightings)",
+			singleRollbacks, singleSeen.Load())
+	}
+
+	groups, err := dist.Loopback(world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleetSeen atomic.Int32
+	nets := make([]*nn.Sequential, world)
+	hists := make([]*History, world)
+	logs := make([]bytes.Buffer, world)
+	errs := make([]error, world)
+	before = rollbacks.Value()
+	var wg sync.WaitGroup
+	for r := 0; r < world; r++ {
+		nets[r] = poisoned(&fleetSeen)
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			o := opts
+			o.CkptPath = filepath.Join(dir, "fleet.ckpt")
+			o.Reducer = dist.NewReducer(groups[r])
+			o.Log = &logs[r]
+			hists[r], errs[r] = Fit(nets[r], ds, o)
+		}(r)
+	}
+	wg.Wait()
+	for _, g := range groups {
+		g.Close()
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("fleet rank %d: %v", r, err)
+		}
+	}
+	// Both ranks share this process's registry: each counts its own
+	// restore, exactly as many as the single worker did.
+	if got := rollbacks.Value() - before; got != world*singleRollbacks {
+		t.Fatalf("fleet counted %d rollbacks over %d ranks, want %d per rank", got, world, singleRollbacks)
+	}
+
+	want := stateOf(t, single)
+	for r := 0; r < world; r++ {
+		assertStatesEqual(t, fmt.Sprintf("fleet rank %d vs single", r), want, stateOf(t, nets[r]))
+		if !reflect.DeepEqual(singleHist, hists[r]) {
+			t.Fatalf("rank %d: history mismatch:\nsingle %+v\nfleet  %+v", r, singleHist, hists[r])
+		}
+		if n := strings.Count(logs[r].String(), "rolled back"); n != 1 {
+			t.Fatalf("rank %d logged %d rollbacks, want 1:\n%s", r, n, logs[r].String())
+		}
+	}
+	sb, err := os.ReadFile(so.CkptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := os.ReadFile(filepath.Join(dir, "fleet.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sb, fb) {
+		t.Fatal("fleet and single-worker rollback runs must write bit-identical checkpoints")
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// groupRunner drives the group-synchronous data-parallel loop: each
-// optimizer step covers a sync group of G consecutive batches of the
-// seed-keyed shuffle, this rank computes the group members whose
-// group-local index i has i % world == rank, and the reducer folds every
-// member's isolated gradient in ascending index order. Because the fold
+// groupRunner drives Fit's one training loop, group-synchronous and
+// data-parallel: each optimizer step covers a sync group of G
+// consecutive batches of the seed-keyed shuffle, this rank computes the
+// group members whose group-local index i has i % world == rank, and the
+// reducer folds every member's isolated gradient in ascending index
+// order. Because the fold
 // order, the batch-norm statistic replay order and the metric
 // accumulation order all depend only on batch indices — never on which
 // rank computed what — any worker count walks the identical float
@@ -36,9 +37,6 @@ type groupRunner struct {
 }
 
 func newGroupRunner(params []*nn.Param, red dist.GradReducer, world, rank, G int) *groupRunner {
-	if red == nil {
-		red = dist.Local{}
-	}
 	gradLen := 0
 	for _, p := range params {
 		gradLen += p.W.Len()
@@ -130,8 +128,11 @@ func (g *groupRunner) replayStats(stats []float32) error {
 // epoch runs one epoch group-synchronously and returns the epoch
 // metrics, which are identical on every rank: they are folded from the
 // broadcast per-batch metadata in batch order, not from local batches.
+// rollback reports that a bad batch under NaNRollback ended the epoch
+// early, before its group's optimizer step; every rank reads the same
+// Bad flag from the same reduce, so all of them return it together.
 func (g *groupRunner) epoch(net nn.Module, ds *dataset.Dataset, opt *SGD, opts Options,
-	epoch int, batches [][]int, step *int64, check bool) (epochLoss float64, correct, seen int, err error) {
+	epoch int, batches [][]int, step *int64, check bool) (epochLoss float64, correct, seen int, rollback bool, err error) {
 	for gi := 0; gi < len(batches); gi += g.G {
 		gs := g.G
 		if rest := len(batches) - gi; rest < gs {
@@ -157,9 +158,9 @@ func (g *groupRunner) epoch(net nn.Module, ds *dataset.Dataset, opt *SGD, opts O
 				opts.Augment.SeedBatch(epoch, global)
 				x = opts.Augment.Apply(x)
 			}
-			loss, logits, health := forwardBackward(net, x, y, g.params, check)
+			loss, logits, finite := forwardBackward(net, x, y, g.params, check)
 			bg := dist.BatchGrad{Index: j, Loss: loss, Seen: int32(len(idx))}
-			if health != healthOK {
+			if !finite {
 				mNaNEvents.Inc()
 				bg.Bad = true
 			} else {
@@ -184,13 +185,12 @@ func (g *groupRunner) epoch(net nn.Module, ds *dataset.Dataset, opt *SGD, opts O
 		metas, rerr := g.red.Reduce(*step, gs, g.locals, g.sum)
 		if rerr != nil {
 			sp.End()
-			return epochLoss, correct, seen, fmt.Errorf("train: gradient reduce at epoch %d: %w", epoch+1, rerr)
+			return epochLoss, correct, seen, false, fmt.Errorf("train: gradient reduce at epoch %d: %w", epoch+1, rerr)
 		}
 
 		// Replay the group's bookkeeping in batch order on every rank:
 		// batch-norm running statistics (for all batches — the forward
-		// pass ran even for bad ones, matching the per-batch loop),
-		// NaN policy, and epoch metrics.
+		// pass ran even for bad ones), NaN policy, and epoch metrics.
 		anyGood := false
 		var groupLoss float64
 		goodN := 0
@@ -199,7 +199,7 @@ func (g *groupRunner) epoch(net nn.Module, ds *dataset.Dataset, opt *SGD, opts O
 			if g.statLen > 0 {
 				if serr := g.replayStats(m.Stats); serr != nil {
 					sp.End()
-					return epochLoss, correct, seen, serr
+					return epochLoss, correct, seen, false, serr
 				}
 			}
 			if m.Bad {
@@ -210,9 +210,12 @@ func (g *groupRunner) epoch(net nn.Module, ds *dataset.Dataset, opt *SGD, opts O
 						fmt.Fprintf(opts.Log, "epoch %d: non-finite batch %d skipped\n", epoch+1, gi+m.Index)
 					}
 					continue
-				default: // NaNAbort (rollback is rejected before training starts)
+				case NaNRollback:
 					sp.End()
-					return epochLoss, correct, seen,
+					return epochLoss, correct, seen, true, nil
+				default: // NaNAbort
+					sp.End()
+					return epochLoss, correct, seen, false,
 						fmt.Errorf("train: non-finite loss or gradient at epoch %d (batch %d): aborting; last checkpoint is intact",
 							epoch+1, gi+m.Index)
 				}
@@ -243,5 +246,5 @@ func (g *groupRunner) epoch(net nn.Module, ds *dataset.Dataset, opt *SGD, opts O
 		}
 		sp.End()
 	}
-	return epochLoss, correct, seen, nil
+	return epochLoss, correct, seen, false, nil
 }

@@ -122,19 +122,6 @@ func (o *SGD) ImportState(params []*nn.Param, state map[string][]float32) error 
 	return nil
 }
 
-// stepHealth classifies the numerical outcome of one training step.
-type stepHealth int
-
-const (
-	healthOK stepHealth = iota
-	// healthBadLoss: the batch loss came out NaN/Inf; no backward pass
-	// was run and gradients are untouched.
-	healthBadLoss
-	// healthBadGrad: a parameter gradient came out NaN/Inf after the
-	// backward pass; gradients have been zeroed and no update applied.
-	healthBadGrad
-)
-
 // finite32 reports whether v is neither NaN nor ±Inf.
 func finite32(v float32) bool {
 	// NaN is the only value unequal to itself; float32 overflow is ±Inf.
@@ -177,60 +164,45 @@ func clipGradNorm(params []*nn.Param, clip float32) bool {
 
 // forwardBackward runs the forward pass, loss and backward pass for one
 // batch, leaving the batch's gradient accumulated in params. When check
-// is true the loss and gradients are screened for NaN/Inf: a bad loss
-// skips the backward pass, a bad gradient is zeroed — in both cases
-// params hold no usable gradient.
+// is true the loss and gradients are screened for NaN/Inf and finite
+// reports the outcome: a bad loss skips the backward pass, a bad
+// gradient is zeroed — in both cases params hold no usable gradient.
 func forwardBackward(net nn.Module, x *tensor.Tensor, y []int, params []*nn.Param,
-	check bool) (float32, *tensor.Tensor, stepHealth) {
-	logits := net.Forward(x, true)
+	check bool) (loss float32, logits *tensor.Tensor, finite bool) {
+	logits = net.Forward(x, true)
 	loss, grad := nn.SoftmaxCE(logits, y)
 	if check && !finite32(loss) {
-		return loss, logits, healthBadLoss
+		return loss, logits, false
 	}
 	net.Backward(grad)
 	if check && !gradsFinite(params) {
 		for _, p := range params {
 			p.ZeroGrad()
 		}
-		return loss, logits, healthBadGrad
+		return loss, logits, false
 	}
-	return loss, logits, healthOK
+	return loss, logits, true
 }
 
-// stepCore runs one training iteration. When check is true the loss and
-// gradients are screened for NaN/Inf and the optimizer update is withheld
-// on failure; clip > 0 enables gradient-norm clipping.
-func stepCore(net nn.Module, x *tensor.Tensor, y []int, opt *SGD, params []*nn.Param,
-	clip float32, check bool) (float32, *tensor.Tensor, stepHealth) {
+// Step runs one training iteration — forward, loss, backward, optimizer
+// update — on a single batch and returns the batch loss and logits. It
+// is the per-batch reference Fit's group loop is pinned against, and the
+// unit benchmarks use to measure steady-state QAT step throughput (no
+// health screening on this path).
+func Step(net nn.Module, x *tensor.Tensor, y []int, opt *SGD, params []*nn.Param) (float32, *tensor.Tensor) {
 	sp := telemetry.StartSpan("train.step")
 	defer sp.End()
 	var t0 time.Time
 	if telemetry.Enabled() {
 		t0 = time.Now()
 	}
-	loss, logits, health := forwardBackward(net, x, y, params, check)
-	if health != healthOK {
-		return loss, logits, health
-	}
-	if clip > 0 && clipGradNorm(params, clip) {
-		mGradClips.Inc()
-	}
+	loss, logits, _ := forwardBackward(net, x, y, params, false)
 	opt.Step(params)
 	if telemetry.Enabled() {
 		mTrainSteps.Inc()
 		mStepMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 		gTrainLoss.Set(float64(loss))
 	}
-	return loss, logits, healthOK
-}
-
-// Step runs one training iteration — forward, loss, backward, optimizer
-// update — on a single batch and returns the batch loss and logits. Fit
-// uses the guarded variant per batch; benchmarks use Step directly to
-// measure steady-state QAT step throughput (no health screening on this
-// path).
-func Step(net nn.Module, x *tensor.Tensor, y []int, opt *SGD, params []*nn.Param) (float32, *tensor.Tensor) {
-	loss, logits, _ := stepCore(net, x, y, opt, params, 0, false)
 	return loss, logits
 }
 
@@ -245,9 +217,11 @@ const (
 	// NaNSkip discards the poisoned batch — gradients are zeroed, no
 	// optimizer update — and continues with the next batch.
 	NaNSkip
-	// NaNRollback restores the last checkpoint (in-memory snapshot),
-	// halves the learning rate and replays from that epoch. After
-	// MaxRollbacks restorations it aborts.
+	// NaNRollback restores the state at the last completed epoch
+	// (in-memory snapshot), halves the learning rate and replays from
+	// that epoch. After MaxRollbacks restorations it aborts. In a fleet
+	// every rank sees the same bad batch in the reduced metadata at the
+	// same step, so all ranks roll back together.
 	NaNRollback
 	// NaNIgnore preserves the legacy behavior: no screening at all.
 	NaNIgnore
@@ -309,14 +283,14 @@ type Options struct {
 	// norm never exceeds it.
 	ClipNorm float32
 
-	// Reducer, when set, runs the fit group-synchronously as one worker
-	// of a data-parallel fleet: this rank computes the batches of the
-	// seed-keyed shuffle whose group-local index i satisfies
-	// i % World == Rank, exchanges per-batch gradients through the
-	// reducer before every optimizer step, and replays the group's
-	// batch-norm statistics and metrics in global batch order — so every
-	// worker count produces bit-identical parameters, history and
-	// checkpoints. Fit does not close the reducer; its lifecycle belongs
+	// Reducer, when set, runs the fit as one worker of a data-parallel
+	// fleet: this rank computes the batches of the seed-keyed shuffle
+	// whose group-local index i satisfies i % World == Rank, exchanges
+	// per-batch gradients through the reducer before every optimizer
+	// step, and replays the group's batch-norm statistics and metrics in
+	// global batch order — so every worker count produces bit-identical
+	// parameters, history and checkpoints. nil means dist.Local{}, a
+	// fleet of one. Fit does not close the reducer; its lifecycle belongs
 	// to the caller. Only rank 0 writes checkpoints.
 	Reducer dist.GradReducer
 	// StepHook, when set, runs after every completed optimizer step with
@@ -327,10 +301,9 @@ type Options struct {
 	// GroupSize is the number of global batches folded into each
 	// optimizer step. It — not the worker count — defines the training
 	// trajectory: runs with equal GroupSize are bit-identical for any
-	// number of workers. 0 means the reducer's world size (or 1 with no
-	// reducer, which is the classic per-batch loop); on resume, 0 adopts
-	// the checkpoint's recorded group size. Setting GroupSize >= 1
-	// without a Reducer runs the group-synchronous loop locally.
+	// number of workers. 0 means the reducer's world size (1 with no
+	// reducer: one batch per step); on resume, 0 adopts the checkpoint's
+	// recorded group size.
 	GroupSize int
 }
 
@@ -340,8 +313,8 @@ type History struct {
 	TrainAcc []float64
 }
 
-// snapshot is the in-memory rollback state: a deep copy of everything a
-// checkpoint holds, so NaNRollback works even without a CkptPath.
+// snapshot is the in-memory NaNRollback state: a deep copy of everything
+// a checkpoint holds, so rollback works even without a CkptPath.
 type snapshot struct {
 	epoch int   // completed epochs at snapshot time
 	step  int64 // completed optimizer steps
@@ -408,12 +381,13 @@ func Fit(net nn.Module, ds *dataset.Dataset, opts Options) (*History, error) {
 	if opts.Epochs > 0 && ds.Len() == 0 {
 		return nil, fmt.Errorf("train: cannot fit on an empty dataset")
 	}
-	world, rank := 1, 0
-	if opts.Reducer != nil {
-		world, rank = opts.Reducer.World(), opts.Reducer.Rank()
-		if world < 1 || rank < 0 || rank >= world {
-			return nil, fmt.Errorf("train: reducer reports rank %d of world %d", rank, world)
-		}
+	red := opts.Reducer
+	if red == nil {
+		red = dist.Local{}
+	}
+	world, rank := red.World(), red.Rank()
+	if world < 1 || rank < 0 || rank >= world {
+		return nil, fmt.Errorf("train: reducer reports rank %d of world %d", rank, world)
 	}
 	if opts.GroupSize < 0 {
 		return nil, fmt.Errorf("train: GroupSize must be >= 0 (got %d)", opts.GroupSize)
@@ -452,7 +426,7 @@ func Fit(net nn.Module, ds *dataset.Dataset, opts Options) (*History, error) {
 			resumedGroup = ck.Progress.GroupSize
 			if resumedGroup == 0 {
 				// Pre-scale-out checkpoints recorded no group size; they
-				// were trained with the per-batch loop, i.e. group 1.
+				// were trained one batch per step, i.e. group 1.
 				resumedGroup = 1
 			}
 			if opts.GroupSize > 0 && opts.GroupSize != resumedGroup {
@@ -482,8 +456,7 @@ func Fit(net nn.Module, ds *dataset.Dataset, opts Options) (*History, error) {
 	// Resolve the sync-group size G — the trajectory-defining invariant.
 	// Explicit GroupSize wins; a resumed run adopts the checkpoint's
 	// (validated against any explicit request above); otherwise G is the
-	// worker count, so each worker contributes one batch per step. G > 1
-	// or an attached reducer selects the group-synchronous loop; a
+	// worker count, so each worker contributes one batch per step. A
 	// worker count above G only idles the surplus ranks, it never
 	// changes the trajectory — that is the elastic-resume invariant.
 	G := opts.GroupSize
@@ -493,24 +466,22 @@ func Fit(net nn.Module, ds *dataset.Dataset, opts Options) (*History, error) {
 	if G == 0 {
 		G = world
 	}
-	useGroup := opts.Reducer != nil || G > 1
-	if useGroup && opts.NaNPolicy == NaNRollback {
-		return nil, fmt.Errorf("train: NaNRollback is not supported in group-synchronous mode (rolling back one worker would desynchronize the fleet); use abort or skip")
-	}
 
 	check := opts.NaNPolicy != NaNIgnore
-	lastGood, err := takeSnapshot(net, opt, params, startEpoch, step, hist)
-	if err != nil {
-		return nil, err
+	// Only a rollback ever reads the snapshot, so only that policy pays
+	// for the deep copies.
+	var lastGood *snapshot
+	if opts.NaNPolicy == NaNRollback {
+		var err error
+		if lastGood, err = takeSnapshot(net, opt, params, startEpoch, step, hist); err != nil {
+			return nil, err
+		}
 	}
 	rollbacks := 0
 
-	var gr *groupRunner
-	if useGroup {
-		gr = newGroupRunner(params, opts.Reducer, world, rank, G)
-		gr.attachBN(net)
-		defer gr.detachBN()
-	}
+	gr := newGroupRunner(params, red, world, rank, G)
+	gr.attachBN(net)
+	defer gr.detachBN()
 
 	save := func(epochsDone int) error {
 		// Rank 0 owns the checkpoint; every rank holds identical state,
@@ -550,85 +521,29 @@ func Fit(net nn.Module, ds *dataset.Dataset, opts Options) (*History, error) {
 		if opts.LRDropEvery > 0 && epoch > 0 && epoch%opts.LRDropEvery == 0 {
 			opt.LR /= 2
 		}
-		if opts.Augment != nil {
-			opts.Augment.SeedEpoch(epoch)
-		}
-		var epochLoss float64
-		var correct, seen int
-		rolledBack := false
 		batches := ds.Batches(opts.BatchSize, true, opts.Seed+int64(epoch))
-		if gr != nil {
-			var gerr error
-			epochLoss, correct, seen, gerr = gr.epoch(net, ds, opt, opts, epoch, batches, &step, check)
-			if gerr != nil {
-				spEpoch.End()
-				return hist, gerr
-			}
-		} else {
-			for _, idx := range batches {
-				x, y := ds.Batch(idx)
-				if opts.Augment != nil {
-					x = opts.Augment.Apply(x)
-				}
-				loss, logits, health := stepCore(net, x, y, opt, params, opts.ClipNorm, check)
-				if health != healthOK {
-					mNaNEvents.Inc()
-					what := "loss"
-					if health == healthBadGrad {
-						what = "gradient"
-					}
-					switch opts.NaNPolicy {
-					case NaNSkip:
-						mSkippedSteps.Inc()
-						if opts.Log != nil {
-							fmt.Fprintf(opts.Log, "epoch %d: non-finite %s, batch skipped\n", epoch+1, what)
-						}
-						continue
-					case NaNRollback:
-						rollbacks++
-						if rollbacks > opts.MaxRollbacks {
-							spEpoch.End()
-							return hist, fmt.Errorf("train: non-finite %s persisted through %d rollbacks at epoch %d",
-								what, opts.MaxRollbacks, epoch+1)
-						}
-						mRollbacks.Inc()
-						if err := lastGood.restore(net, opt, params, hist); err != nil {
-							spEpoch.End()
-							return hist, fmt.Errorf("train: rollback: %w", err)
-						}
-						opt.LR /= 2
-						step = lastGood.step
-						epoch = lastGood.epoch
-						if opts.Log != nil {
-							fmt.Fprintf(opts.Log, "non-finite %s: rolled back to epoch %d, lr halved to %.5f\n",
-								what, epoch, opt.LR)
-						}
-						rolledBack = true
-					default: // NaNAbort
-						spEpoch.End()
-						return hist, fmt.Errorf("train: non-finite %s at epoch %d (batch of %d): aborting; last checkpoint is intact",
-							what, epoch+1, len(idx))
-					}
-					if rolledBack {
-						break
-					}
-				}
-				step++
-				if opts.StepHook != nil {
-					opts.StepHook(step)
-				}
-				epochLoss += float64(loss) * float64(len(idx))
-				pred := logits.ArgmaxRows()
-				for i, p := range pred {
-					if p == y[i] {
-						correct++
-					}
-				}
-				seen += len(idx)
-			}
-		}
+		epochLoss, correct, seen, rollback, err := gr.epoch(net, ds, opt, opts, epoch, batches, &step, check)
 		spEpoch.End()
-		if rolledBack {
+		if err != nil {
+			return hist, err
+		}
+		if rollback {
+			rollbacks++
+			if rollbacks > opts.MaxRollbacks {
+				return hist, fmt.Errorf("train: non-finite loss or gradient persisted through %d rollbacks at epoch %d",
+					opts.MaxRollbacks, epoch+1)
+			}
+			mRollbacks.Inc()
+			if err := lastGood.restore(net, opt, params, hist); err != nil {
+				return hist, fmt.Errorf("train: rollback: %w", err)
+			}
+			opt.LR /= 2
+			step = lastGood.step
+			epoch = lastGood.epoch
+			if opts.Log != nil {
+				fmt.Fprintf(opts.Log, "non-finite loss or gradient: rolled back to epoch %d, lr halved to %.5f\n",
+					epoch, opt.LR)
+			}
 			continue
 		}
 		if seen == 0 {
@@ -652,12 +567,10 @@ func Fit(net nn.Module, ds *dataset.Dataset, opts Options) (*History, error) {
 		if err := save(epoch); err != nil {
 			return hist, fmt.Errorf("train: checkpointing after epoch %d: %w", epoch, err)
 		}
-		if opts.CkptPath != "" || opts.NaNPolicy == NaNRollback {
-			snap, err := takeSnapshot(net, opt, params, epoch, step, hist)
-			if err != nil {
+		if lastGood != nil {
+			if lastGood, err = takeSnapshot(net, opt, params, epoch, step, hist); err != nil {
 				return hist, err
 			}
-			lastGood = snap
 		}
 		// Logged after the checkpoint save so the epoch-completion line
 		// is a reliable "this epoch is durable" signal (the crash-safety

@@ -105,7 +105,7 @@ func TestTelemetryParityODQInference(t *testing.T) {
 }
 
 // TestTelemetrySensitivityRatio pins the per-layer sensitivity-ratio
-// telemetry to the executor's own profiler across the BENCH_odq_conv.json
+// telemetry to the executor's own profiler across the odqBenchGrid
 // scenarios (~30%, ~60%, 100% sensitive): for each, a fresh registry must
 // report layer.c.sensitivity_ratio equal to Exec.SensitiveFraction.
 func TestTelemetrySensitivityRatio(t *testing.T) {
@@ -193,9 +193,10 @@ func TestTelemetryODQConvCounters(t *testing.T) {
 		}
 	}
 
-	// The legacy int-GEMM predictor path still routes through the batched
-	// GEMM kernels and must keep emitting their spans.
-	conv.Exec = core.NewExec(0.5, core.WithIntGEMMPredictor())
+	// At threshold 0 every output is sensitive, so the executor takes its
+	// int-GEMM branch, which routes through the blocked GEMM kernels and
+	// must keep emitting their spans.
+	conv.Exec = core.NewExec(0)
 	conv.Forward(x, false)
 	names = map[string]bool{}
 	for _, ev := range r.TraceEvents() {
@@ -203,7 +204,7 @@ func TestTelemetryODQConvCounters(t *testing.T) {
 	}
 	for _, want := range []string{"gemm.pack", "gemm.kernel"} {
 		if !names[want] {
-			t.Fatalf("legacy path trace missing span %q (have %v)", want, names)
+			t.Fatalf("int-GEMM branch trace missing span %q (have %v)", want, names)
 		}
 	}
 }
@@ -224,23 +225,19 @@ type TelemetryCost struct {
 // conv). The controlled measurement is EnabledOverheadPct — disabled and
 // enabled runs interleaved in one process, so machine drift cancels —
 // and it must stay under 2% (the disabled-path cost is strictly smaller
-// still). The baseline comparison against the pre-instrumentation
-// BENCH_train_gemm.json / BENCH_odq_conv.json numbers is informational
-// only: those were recorded in an earlier session, so cross-session
-// drift (CPU frequency, co-tenants) dominates sub-percent effects.
+// still). There is no cross-file baseline: a number recorded by another
+// snapshot, on another day or host, would compare drift, not telemetry.
 type TelemetryBenchSnapshot struct {
 	Micro map[string]TelemetryCost `json:"micro_per_site"`
 	Macro map[string]TelemetryCost `json:"macro"`
-	// BaselineNs holds the pre-instrumentation ns/op recorded by the
-	// earlier benchmark snapshots on this machine, for the disabled-
-	// overhead comparison; DisabledVsBaselinePct is the regression of
-	// today's telemetry-disabled run against that baseline.
-	BaselineNs            map[string]float64 `json:"baseline_ns"`
-	DisabledVsBaselinePct map[string]float64 `json:"disabled_vs_baseline_pct"`
 }
 
 func costPair(disabled, enabled testing.BenchmarkResult) TelemetryCost {
-	d, e := float64(disabled.NsPerOp()), float64(enabled.NsPerOp())
+	// Fractional ns/op: a disabled site costs under 1 ns on a fast host,
+	// where the integer NsPerOp reads 0 and the overhead ratio divides by
+	// zero.
+	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	d, e := nsPerOp(disabled), nsPerOp(enabled)
 	return TelemetryCost{
 		DisabledNs:         d,
 		EnabledNs:          e,
@@ -257,10 +254,8 @@ func TestTelemetryBenchSnapshot(t *testing.T) {
 		t.Skip("set TELEMETRY_BENCH_SNAPSHOT=1 to regenerate BENCH_telemetry.json")
 	}
 	snap := &TelemetryBenchSnapshot{
-		Micro:                 map[string]TelemetryCost{},
-		Macro:                 map[string]TelemetryCost{},
-		BaselineNs:            map[string]float64{},
-		DisabledVsBaselinePct: map[string]float64{},
+		Micro: map[string]TelemetryCost{},
+		Macro: map[string]TelemetryCost{},
 	}
 
 	// Micro: price a single instrumentation site in both states.
@@ -336,8 +331,8 @@ func TestTelemetryBenchSnapshot(t *testing.T) {
 		train.Step(qatNet, qatX, qatY, qatOpt, qatParams)
 	}, 2, 20)
 
-	// ODQ conv pinned at the ~30%-sensitive scenario, so the disabled run
-	// is directly comparable to sens30/sparse-parallel in BENCH_odq_conv.json.
+	// ODQ conv pinned at the ~30%-sensitive scenario (sens30 in
+	// BENCH_bitplane.json's conv grid).
 	convM, xM := benchConvLayer()
 	th30 := thresholdForSensitivity(convM, xM, 0.30)
 	convM.Exec = core.NewExec(th30)
@@ -345,19 +340,6 @@ func TestTelemetryBenchSnapshot(t *testing.T) {
 		convM.Forward(xM, false)
 	}, 10, 40)
 	convM.Exec = nil
-
-	// Disabled-overhead check against the committed pre-instrumentation
-	// baselines (generated on this same machine by the earlier snapshots).
-	if ns, ok := baselineQATStepNs(t); ok {
-		snap.BaselineNs["qat_step_batch32"] = ns
-		snap.DisabledVsBaselinePct["qat_step_batch32"] =
-			100 * (snap.Macro["qat_step_batch32"].DisabledNs - ns) / ns
-	}
-	if ns, ok := baselineODQConvNs(t); ok {
-		snap.BaselineNs["odq_conv"] = ns
-		snap.DisabledVsBaselinePct["odq_conv"] =
-			100 * (snap.Macro["odq_conv"].DisabledNs - ns) / ns
-	}
 
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
@@ -368,45 +350,4 @@ func TestTelemetryBenchSnapshot(t *testing.T) {
 	}
 	t.Logf("micro: %+v", snap.Micro)
 	t.Logf("macro: %+v", snap.Macro)
-	t.Logf("disabled vs baseline: %v", snap.DisabledVsBaselinePct)
-}
-
-// baselineQATStepNs reads the packed QAT-step ns/op from
-// BENCH_train_gemm.json (recorded before the telemetry layer existed).
-func baselineQATStepNs(t *testing.T) (float64, bool) {
-	t.Helper()
-	data, err := os.ReadFile("BENCH_train_gemm.json")
-	if err != nil {
-		return 0, false
-	}
-	var s TrainGemmBenchSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return 0, false
-	}
-	for _, rec := range s.Records {
-		if rec.Section == "qat-step" && rec.Variant == "packed" {
-			return float64(rec.NsPerOp), true
-		}
-	}
-	return 0, false
-}
-
-// baselineODQConvNs reads the sens30 sparse-parallel conv ns/op from
-// BENCH_odq_conv.json (the same layer benchConvLayer builds).
-func baselineODQConvNs(t *testing.T) (float64, bool) {
-	t.Helper()
-	data, err := os.ReadFile("BENCH_odq_conv.json")
-	if err != nil {
-		return 0, false
-	}
-	var s ODQConvBenchSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return 0, false
-	}
-	for _, rec := range s.Records {
-		if rec.Sensitivity == "sens30" && rec.Variant == "sparse-parallel" {
-			return float64(rec.NsPerOp), true
-		}
-	}
-	return 0, false
 }

@@ -15,7 +15,7 @@ go test -race -count=1 ./internal/telemetry ./internal/tensor ./internal/core ./
 go test -race -timeout 90m ./...
 # Build-only smoke for the benchmark snapshot harnesses: without their env
 # gates they compile, link and skip, so CI never depends on timing.
-go test -run 'TestODQConvBenchSnapshot|TestTrainGemmBenchSnapshot|TestTelemetryBenchSnapshot|TestBitplaneBenchSnapshot|TestDistBenchSnapshot' -count=1 .
+go test -run 'TestTrainGemmBenchSnapshot|TestTelemetryBenchSnapshot|TestBitplaneBenchSnapshot|TestDistBenchSnapshot' -count=1 .
 # Crash-safety gate: train, SIGKILL mid-run, resume; the resumed run must
 # be bit-identical to one that was never interrupted.
 ./scripts/resume_smoke.sh
