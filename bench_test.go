@@ -342,9 +342,9 @@ func BenchmarkAblationPredictor4Bit(b *testing.B) {
 // The result executor computes the HL/LH/LL partials only for sensitive
 // outputs. These benches pin the sensitive fraction at ~30%/60%/100% and
 // compare the sparse parallel path against the dense-select reference
-// and against serial execution. TestBitplaneBenchSnapshot
-// (BITPLANE_BENCH_SNAPSHOT=1) writes the sparse-vs-dense grid to
-// BENCH_bitplane.json.
+// and against serial execution. End to end, the same sparse-vs-dense
+// split is bench/'s resnet20-sparse vs resnet20-dense workloads, per
+// layer in core.conv_ms.* and quant.sensitivity.*.
 
 // thresholdForSensitivity bisects the ODQ threshold until the executor's
 // sensitive fraction lands near target on the given layer/input.

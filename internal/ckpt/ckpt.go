@@ -17,9 +17,6 @@
 //     seed and the epoch/step cursor; together with the repo's
 //     (seed, epoch)-keyed RNG streams this makes a resumed run
 //     bit-identical to an uninterrupted one.
-//  3. v1 files still load. The seed format (a bare gob of
-//     {Version, Tensors}) is recognized by sniffing for the v2 magic and
-//     decoded read-only into the model section.
 //
 // Layout (all integers little-endian):
 //
@@ -49,7 +46,6 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -424,12 +420,6 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if head != magic {
 		return nil, fmt.Errorf("ckpt: bad magic %q: not a v2 checkpoint", head[:])
 	}
-	return readAfterMagic(r)
-}
-
-// readAfterMagic decodes the remainder of a v2 stream whose magic has
-// already been consumed and verified.
-func readAfterMagic(r io.Reader) (*Checkpoint, error) {
 	fileCRC := crc32.Checksum(magic[:], castagnoli)
 	update := func(b []byte) { fileCRC = crc32.Update(fileCRC, castagnoli, b) }
 
@@ -448,7 +438,7 @@ func readAfterMagic(r io.Reader) (*Checkpoint, error) {
 	}
 	version := binary.LittleEndian.Uint32(hdr[:4])
 	if version != Version {
-		return nil, fmt.Errorf("ckpt: unsupported checkpoint version %d (this build reads v1 and v%d)", version, Version)
+		return nil, fmt.Errorf("ckpt: unsupported checkpoint version %d (this build reads v%d)", version, Version)
 	}
 	nSections := binary.LittleEndian.Uint32(hdr[4:])
 	if nSections > 1024 {
@@ -525,38 +515,4 @@ func readAfterMagic(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("ckpt: checkpoint has no model section")
 	}
 	return ck, nil
-}
-
-// v1Checkpoint mirrors the seed gob format (nn package, format v1).
-type v1Checkpoint struct {
-	Version int
-	Tensors map[string][]float32
-}
-
-// ReadAny decodes either format: v2 (framed, checksummed) or the legacy
-// v1 bare gob, detected by sniffing the magic. v1 files carry model
-// tensors only and no integrity protection beyond gob's own framing;
-// they load read-only (Save always writes v2).
-func ReadAny(r io.Reader) (*Checkpoint, error) {
-	var head [8]byte
-	n, err := io.ReadFull(r, head[:])
-	if err != nil && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("ckpt: reading header: %w", err)
-	}
-	if n == len(head) && head == magic {
-		return readAfterMagic(r)
-	}
-	// Not v2: reassemble the stream and try the v1 gob format.
-	full := io.MultiReader(bytes.NewReader(head[:n]), r)
-	var v1 v1Checkpoint
-	if err := gob.NewDecoder(full).Decode(&v1); err != nil {
-		return nil, fmt.Errorf("ckpt: not a v2 checkpoint and v1 decode failed: %w", err)
-	}
-	if v1.Version != 1 {
-		return nil, fmt.Errorf("ckpt: unsupported v1-envelope version %d", v1.Version)
-	}
-	if v1.Tensors == nil {
-		return nil, fmt.Errorf("ckpt: v1 checkpoint has no tensors")
-	}
-	return &Checkpoint{Model: v1.Tensors}, nil
 }

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -90,36 +89,6 @@ func TestSpecialFloatsSurvive(t *testing.T) {
 	}
 }
 
-func TestReadAnyV1Gob(t *testing.T) {
-	// The seed (v1) format: a bare gob of {Version, Tensors}.
-	var buf bytes.Buffer
-	v1 := v1Checkpoint{Version: 1, Tensors: map[string][]float32{"fc.weight": {1, 2}, "fc.bias": {3}}}
-	if err := gob.NewEncoder(&buf).Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := ReadAny(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 checkpoint must still load: %v", err)
-	}
-	if !reflect.DeepEqual(ck.Model, v1.Tensors) {
-		t.Fatal("v1 tensors mismatch")
-	}
-	if ck.Optimizer != nil || ck.Progress != nil {
-		t.Fatal("v1 checkpoints carry a model section only")
-	}
-}
-
-func TestReadAnyV2(t *testing.T) {
-	ck := sampleCheckpoint()
-	got, err := ReadAny(bytes.NewReader(encode(t, ck)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ck, got) {
-		t.Fatal("ReadAny(v2) mismatch")
-	}
-}
-
 func TestReadRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":        {},
@@ -128,9 +97,10 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"text":         []byte("definitely not a checkpoint file, just some text"),
 		"magic only":   magic[:],
 		"v1 truncated": {0x2b, 0x7f},
+		"v1 gob":       v1GobBytes(t),
 	}
 	for name, b := range cases {
-		if _, err := ReadAny(bytes.NewReader(b)); err == nil {
+		if _, err := Read(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: garbage input must error", name)
 		}
 	}

@@ -116,5 +116,5 @@ func loadOne(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadAny(f)
+	return Read(f)
 }

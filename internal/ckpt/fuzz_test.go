@@ -6,10 +6,26 @@ import (
 	"testing"
 )
 
-// fuzzSeeds returns the committed seed corpus: valid v2 and v1
-// encodings plus characteristic mutations, so even a plain `go test`
-// run (which executes only the seeds) covers the interesting decode
-// paths; `go test -fuzz=FuzzReadAny` explores from there.
+// v1GobBytes encodes a checkpoint in the retired seed format, a bare gob
+// of {Version, Tensors}. Read must reject it with an error.
+func v1GobBytes(tb testing.TB) []byte {
+	type v1Checkpoint struct {
+		Version int
+		Tensors map[string][]float32
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&v1Checkpoint{
+		Version: 1, Tensors: map[string][]float32{"w": {1, 2}},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzSeeds returns the committed seed corpus: a valid encoding, a v1
+// gob and characteristic mutations, so even a plain `go test` run
+// (which executes only the seeds) covers the interesting decode paths;
+// `go test -fuzz=FuzzRead` explores from there.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	valid := &Checkpoint{
 		Model:     map[string][]float32{"c1.weight": {1, -2, 3.5}, "c1.bias": {0.25}},
@@ -19,12 +35,6 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 	var v2 bytes.Buffer
 	if err := Write(&v2, valid); err != nil {
-		tb.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(&v1Checkpoint{
-		Version: 1, Tensors: map[string][]float32{"w": {1, 2}},
-	}); err != nil {
 		tb.Fatal(err)
 	}
 	full := v2.Bytes()
@@ -39,7 +49,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 	return [][]byte{
 		full,
-		v1.Bytes(),
+		v1GobBytes(tb),
 		half,
 		flipped,
 		lying,
@@ -50,14 +60,14 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 }
 
-// FuzzReadAny asserts the decoder's only failure mode is a returned
+// FuzzRead asserts the decoder's only failure mode is a returned
 // error: no panics, no runaway allocations, on any input.
-func FuzzReadAny(f *testing.F) {
+func FuzzRead(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := ReadAny(bytes.NewReader(data))
+		ck, err := Read(bytes.NewReader(data))
 		if err == nil && ck.Model == nil {
 			t.Fatal("nil error must imply a decoded model section")
 		}
@@ -72,7 +82,7 @@ func FuzzRoundTrip(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := ReadAny(bytes.NewReader(data))
+		ck, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

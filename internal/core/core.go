@@ -66,10 +66,6 @@ type Exec struct {
 	// noWeightCache disables the per-layer weight-code cache; set during
 	// threshold-aware retraining, when weights change every step.
 	noWeightCache bool
-	// collectPrecision additionally measures per-layer |float − ODQ|
-	// precision loss (the §6.1 per-layer list), at the cost of a
-	// reference convolution per layer.
-	collectPrecision bool
 	// dense selects the dense-compute-then-select reference path instead
 	// of the sparse executor (parity tests, benchmarks).
 	dense bool
@@ -79,11 +75,9 @@ type Exec struct {
 
 	quant.Profiler
 
-	mu        sync.Mutex
-	cacheGen  uint64
-	wcache    map[*nn.Conv2D]*weightCodes
-	precision map[string]*PrecisionStat
-	precOrder []string
+	mu       sync.Mutex
+	cacheGen uint64
+	wcache   map[*nn.Conv2D]*weightCodes
 
 	distMu      sync.Mutex
 	collectDist bool
@@ -113,12 +107,6 @@ func WithLayerThresholds(m map[string]float32) Option {
 		}
 		e.layerThresholds = cp
 	}
-}
-
-// WithPrecisionCollection measures per-layer |float − ODQ| loss on every
-// Conv (costs one reference convolution per layer call).
-func WithPrecisionCollection() Option {
-	return func(e *Exec) { e.collectPrecision = true }
 }
 
 // WithoutWeightCache disables weight-code caching; use while weights are
@@ -156,24 +144,6 @@ func WithDenseReference() Option {
 	return func(e *Exec) { e.dense = true }
 }
 
-// PrecisionStat accumulates per-layer precision loss of ODQ relative to
-// the float convolution.
-type PrecisionStat struct {
-	Name  string
-	Index int
-	Sum   float64
-	Count int64
-	Max   float64
-}
-
-// Mean returns the average absolute precision loss.
-func (p *PrecisionStat) Mean() float64 {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.Sum / float64(p.Count)
-}
-
 // NewExec builds an ODQ executor with the paper's defaults (INT4 codes,
 // 2-bit predictor) modified by the given options. It panics on an invalid
 // bits/predBits combination.
@@ -183,7 +153,6 @@ func NewExec(threshold float32, opts ...Option) *Exec {
 		predBits:  2,
 		threshold: threshold,
 		wcache:    make(map[*nn.Conv2D]*weightCodes),
-		precision: make(map[string]*PrecisionStat),
 	}
 	for _, o := range opts {
 		o(e)
@@ -282,25 +251,6 @@ func (e *Exec) InvalidateCache() {
 	e.wcache = make(map[*nn.Conv2D]*weightCodes)
 }
 
-// PrecisionStats returns per-layer precision-loss records in layer order.
-func (e *Exec) PrecisionStats() []*PrecisionStat {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*PrecisionStat, 0, len(e.precOrder))
-	for _, n := range e.precOrder {
-		out = append(out, e.precision[n])
-	}
-	return out
-}
-
-// ResetPrecision clears the precision-loss records.
-func (e *Exec) ResetPrecision() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.precision = make(map[string]*PrecisionStat)
-	e.precOrder = nil
-}
-
 // fuse combines the predictor partial with the three executor partials
 // for a sensitive output. Every execution path calls this single function,
 // so the float rounding (including any FMA contraction the compiler
@@ -316,7 +266,7 @@ func fuse(pred, hl, lh, ll int64, predScale, sHL, sLH, sLL float32) float32 {
 // high-order parts followed by result generation for sensitive outputs.
 func (e *Exec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
 	qx := quant.ActCodesInto(tensor.GetInt32(len(x.Data)), x, e.bits)
-	out, _ := e.convQ(qx, layer, nil, x)
+	out, _ := e.convQ(qx, layer, nil)
 	tensor.PutInt32(qx.Data)
 	return out
 }
@@ -325,10 +275,9 @@ func (e *Exec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
 // epilogue it returns the raw float partial-sum tensor (bias is NOT
 // applied — nn.Conv2D.Forward adds it, as before). With an epilogue it
 // returns packed INT4 codes of the requantized activation instead, and no
-// float tensor is materialized on the default path. xRef, when non-nil, is
-// the original float input used for precision-loss collection. qx stays
-// the caller's; the code splits and the mask live in pooled scratch.
-func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef *tensor.Tensor) (*tensor.Tensor, *tensor.PackedI4) {
+// float tensor is materialized on the default path. qx stays the
+// caller's; the code splits and the mask live in pooled scratch.
+func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue) (*tensor.Tensor, *tensor.PackedI4) {
 	spConv := telemetry.StartSpan("odq.conv")
 	defer spConv.End()
 	mODQConvs.Inc()
@@ -406,9 +355,6 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef
 	})
 	tensor.PutBool(mask)
 
-	if e.collectPrecision && xRef != nil && epi == nil {
-		e.collectPrecisionLoss(xRef, out, layer, g)
-	}
 	tensor.PutInt32(xh.Data)
 	tensor.PutInt32(xl.Data)
 	var packed *tensor.PackedI4
@@ -610,29 +556,6 @@ func (e *Exec) resultDense(out *tensor.Tensor, predAcc []int64, mask []bool,
 	tensor.PutInt64(llAcc)
 }
 
-func (e *Exec) collectPrecisionLoss(x, odqOut *tensor.Tensor, layer *nn.Conv2D, g tensor.ConvGeom) {
-	ref := floatConv(x, layer.EffectiveWeight(), g)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	stat, ok := e.precision[layer.Name]
-	if !ok {
-		stat = &PrecisionStat{Name: layer.Name, Index: len(e.precOrder)}
-		e.precision[layer.Name] = stat
-		e.precOrder = append(e.precOrder, layer.Name)
-	}
-	for i := range ref.Data {
-		d := float64(ref.Data[i] - odqOut.Data[i])
-		if d < 0 {
-			d = -d
-		}
-		stat.Sum += d
-		stat.Count++
-		if d > stat.Max {
-			stat.Max = d
-		}
-	}
-}
-
 // sampleDist subsamples predictor magnitudes (normalized by the layer's
 // mean |predictor output|, i.e. in threshold units) for threshold
 // initialization.
@@ -664,21 +587,6 @@ func (e *Exec) SensitiveFraction() float64 {
 		return 0
 	}
 	return float64(sens) / float64(tot)
-}
-
-// floatConv is the reference float convolution used by instrumentation.
-func floatConv(x, w *tensor.Tensor, g tensor.ConvGeom) *tensor.Tensor {
-	n := x.Shape[0]
-	rows, cols := g.ColRows(), g.ColCols()
-	out := tensor.New(n, g.OutC, g.OutH, g.OutW)
-	per := g.InC * g.InH * g.InW
-	tensor.DefaultPool().ParallelN(n, func(s int) {
-		buf := tensor.GetFloat32(rows * cols)
-		tensor.Im2col(x.Data[s*per:(s+1)*per], g, buf)
-		tensor.Gemm(w.Data, buf, out.Data[s*g.OutC*cols:(s+1)*g.OutC*cols], g.OutC, rows, cols)
-		tensor.PutFloat32(buf)
-	})
-	return out
 }
 
 var _ nn.ConvExecutor = (*Exec)(nil)

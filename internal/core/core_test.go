@@ -112,32 +112,6 @@ func TestMaskRecordedPerOutput(t *testing.T) {
 	}
 }
 
-func TestPrecisionStatsCollected(t *testing.T) {
-	conv, x := testConvAndInput(6)
-	e := NewExec(0.3, WithPrecisionCollection())
-	conv.Exec = e
-	conv.Forward(x, false)
-	stats := e.PrecisionStats()
-	if len(stats) != 1 {
-		t.Fatalf("precision stats count %d", len(stats))
-	}
-	if stats[0].Count == 0 || stats[0].Mean() < 0 {
-		t.Fatalf("bad precision stat %+v", stats[0])
-	}
-	// ODQ at a moderate threshold must lose less precision than
-	// predictor-only execution.
-	e2 := NewExec(1e9, WithPrecisionCollection())
-	conv.Exec = e2
-	conv.Forward(x, false)
-	if stats[0].Mean() >= e2.PrecisionStats()[0].Mean() {
-		t.Fatal("ODQ must beat predictor-only precision")
-	}
-	e.ResetPrecision()
-	if len(e.PrecisionStats()) != 0 {
-		t.Fatal("ResetPrecision must clear")
-	}
-}
-
 func TestODQOnNetworkTracksStaticINT4(t *testing.T) {
 	cfg := models.Config{Classes: 10, Scale: 0.25, Seed: 7}
 	net := models.ResNet(20, cfg)

@@ -79,7 +79,7 @@ func (e *Exec) ConvPacked(px *tensor.PackedI4, layer *nn.Conv2D, epi *Epilogue) 
 	qx := &tensor.IntTensor{Shape: px.Shape, Data: tensor.GetInt32(px.Len()),
 		Scale: 1 / float32(quant.ActLevels(e.bits)), Bits: 4}
 	px.UnpackIntInto(qx.Data)
-	_, out := e.convQ(qx, layer, epi, nil)
+	_, out := e.convQ(qx, layer, epi)
 	tensor.PutInt32(qx.Data)
 	return out
 }
@@ -93,7 +93,7 @@ func (e *Exec) ConvFused(x *tensor.Tensor, layer *nn.Conv2D, epi *Epilogue) *ten
 		panic("core: ConvFused requires an epilogue")
 	}
 	qx := quant.ActCodesInto(tensor.GetInt32(len(x.Data)), x, e.bits)
-	_, out := e.convQ(qx, layer, epi, nil)
+	_, out := e.convQ(qx, layer, epi)
 	tensor.PutInt32(qx.Data)
 	return out
 }

@@ -66,7 +66,7 @@ func encodeCheckpoint(t *testing.T) []byte {
 func TestTruncationAlwaysDetected(t *testing.T) {
 	full := encodeCheckpoint(t)
 	for n := 0; n < len(full); n++ {
-		if _, err := ckpt.ReadAny(bytes.NewReader(Truncate(full, n))); err == nil {
+		if _, err := ckpt.Read(bytes.NewReader(Truncate(full, n))); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded without error", n, len(full))
 		}
 	}
@@ -79,7 +79,7 @@ func TestTruncationAlwaysDetected(t *testing.T) {
 func TestBitFlipAlwaysDetected(t *testing.T) {
 	full := encodeCheckpoint(t)
 	for bit := 0; bit < len(full)*8; bit++ {
-		if _, err := ckpt.ReadAny(bytes.NewReader(BitFlip(full, bit))); err == nil {
+		if _, err := ckpt.Read(bytes.NewReader(BitFlip(full, bit))); err == nil {
 			t.Fatalf("bit flip at offset %d (byte %d) decoded without error", bit, bit/8)
 		}
 	}
@@ -104,15 +104,15 @@ func TestZeroFillDetected(t *testing.T) {
 		if !Changed(full, mutated) {
 			continue // zeroing zeros is not a corruption
 		}
-		if _, err := ckpt.ReadAny(bytes.NewReader(mutated)); err == nil {
+		if _, err := ckpt.Read(bytes.NewReader(mutated)); err == nil {
 			t.Fatalf("zero-fill at [%d,%d) decoded without error", w.off, w.off+w.n)
 		}
 	}
 }
 
-// TestV1GarbageDetected: corrupting the legacy gob format must also
-// error out rather than half-load (gob streams are self-describing, so
-// truncation inside the tensor data is the dangerous case).
+// TestV1TruncationDetected: nn.Load, the path every CLI and hot reload
+// goes through, must reject a truncated checkpoint rather than half-load
+// it into the model.
 func TestV1TruncationDetected(t *testing.T) {
 	net, _ := testNet(1, InForward, 0, false)
 	state, err := nn.StateTensors(net)

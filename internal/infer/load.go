@@ -9,10 +9,10 @@ import (
 )
 
 // LoadModel builds the named architecture and, when ckptPath is nonempty,
-// restores its weights from the checkpoint (v2 or legacy v1). It is the
-// shared build-then-load step of odq-infer and odq-serve; an empty
-// ckptPath yields the randomly initialized network (useful for smoke
-// tests and demos).
+// restores its weights from the checkpoint. It is the shared
+// build-then-load step of odq-infer and odq-serve; an empty ckptPath
+// yields the randomly initialized network (useful for smoke tests and
+// demos).
 func LoadModel(name string, cfg models.Config, ckptPath string) (*nn.Sequential, error) {
 	net, err := models.Build(name, cfg)
 	if err != nil {

@@ -40,8 +40,7 @@ type Session struct {
 	// packed-INT4 quantized-domain plan (see EnablePackedDomain).
 	pipeline *Pipeline
 
-	gen           atomic.Uint64
-	invalidations atomic.Uint64
+	gen atomic.Uint64
 }
 
 // NewSession builds the executor for a scheme, installs it on net
@@ -92,12 +91,6 @@ func (s *Session) Scheme() string { return s.scheme.Name }
 // by exactly one per Reload/Invalidate.
 func (s *Session) Generation() uint64 { return s.gen.Load() }
 
-// Invalidations returns how many times the session has invalidated the
-// executor's weight caches. The reload contract is exactly one
-// invalidation per generation bump — Invalidations() == Generation()
-// always — pinned by the serve reload regression test.
-func (s *Session) Invalidations() uint64 { return s.invalidations.Load() }
-
 // EnablePackedDomain compiles the packed-INT4 quantized-domain pipeline
 // for the session and routes Forward through it. Requires the odq scheme
 // at 4-bit codes and a flat sequential model whose conv groups end in
@@ -143,15 +136,14 @@ func (s *Session) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Reload calls it; call it directly after mutating weights yourself.
 func (s *Session) Invalidate() {
 	s.gen.Add(1)
-	s.invalidations.Add(1)
 	if s.exec != nil {
 		s.exec.InvalidateCache()
 	}
 }
 
-// Reload hot-swaps the session's weights from a checkpoint stream (v2 or
-// legacy v1; architecture must match) and invalidates the executor's
-// weight caches exactly once. On error the weights may be partially
+// Reload hot-swaps the session's weights from a checkpoint stream
+// (architecture must match) and invalidates the executor's weight
+// caches exactly once. On error the weights may be partially
 // written only if the checkpoint itself was readable but mismatched —
 // nn.Load validates names and shapes before copying, so a mismatched or
 // corrupt checkpoint leaves the session untouched.

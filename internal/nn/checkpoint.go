@@ -49,11 +49,10 @@ func Save(w io.Writer, m Module) error {
 	return ckpt.Write(w, &ckpt.Checkpoint{Model: state})
 }
 
-// Load restores state previously written by Save — either format v2 or
-// the legacy v1 gob — into a module with the same architecture
-// (parameter names and shapes must match exactly).
+// Load restores state previously written by Save into a module with the
+// same architecture (parameter names and shapes must match exactly).
 func Load(r io.Reader, m Module) error {
-	ck, err := ckpt.ReadAny(r)
+	ck, err := ckpt.Read(r)
 	if err != nil {
 		return fmt.Errorf("nn: decoding checkpoint: %w", err)
 	}

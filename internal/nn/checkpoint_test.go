@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"repro/internal/tensor"
@@ -83,33 +82,5 @@ func TestDuplicateParamNamesRejected(t *testing.T) {
 	}
 	if err := Load(&buf, clash); err == nil {
 		t.Fatal("Load into a module with duplicate names must error")
-	}
-}
-
-// TestLoadV1Gob: checkpoints written by the pre-v2 gob format must
-// still load (read-only compatibility), reproducing outputs exactly.
-func TestLoadV1Gob(t *testing.T) {
-	src := smallNet(4)
-	state, err := StateTensors(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(&struct {
-		Version int
-		Tensors map[string][]float32
-	}{Version: 1, Tensors: state})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dst := smallNet(77)
-	if err := Load(&buf, dst); err != nil {
-		t.Fatalf("v1 gob checkpoint must still load: %v", err)
-	}
-	x := tensor.New(2, 1, 8, 8)
-	tensor.NewRNG(3).FillUniform(x, 0, 1)
-	if tensor.MaxAbsDiff(src.Forward(x, false), dst.Forward(x, false)) != 0 {
-		t.Fatal("v1-loaded model must reproduce source outputs exactly")
 	}
 }

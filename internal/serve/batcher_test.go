@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +35,11 @@ func testServer(t *testing.T, seed int64, scheme string, cfg Config) *Server {
 	return srv
 }
 
+// submit admits x with no deadline and no request id.
+func submit(srv *Server, x []float32) (<-chan Result, error) {
+	return srv.SubmitCtx(context.Background(), x, "")
+}
+
 func randInput(seed int64) []float32 {
 	x := tensor.New(1, 1, 28, 28)
 	tensor.NewRNG(seed).FillUniform(x, 0, 1)
@@ -48,7 +54,7 @@ func TestDeadlineFlush(t *testing.T) {
 	defer srv.Drain(10 * time.Second) //nolint:errcheck
 
 	start := time.Now()
-	resp, err := srv.Submit(randInput(7))
+	resp, err := submit(srv, randInput(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func TestMaxBatchFlush(t *testing.T) {
 	start := time.Now()
 	resps := make([]<-chan Result, maxBatch)
 	for i := range resps {
-		r, err := srv.Submit(randInput(int64(i)))
+		r, err := submit(srv, randInput(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,14 +116,14 @@ func TestSingleRequestLatencyBound(t *testing.T) {
 
 	// Warm the pass once so the measured request doesn't pay first-call
 	// costs.
-	r0, err := srv.Submit(randInput(100))
+	r0, err := submit(srv, randInput(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-r0
 
 	start := time.Now()
-	resp, err := srv.Submit(randInput(101))
+	resp, err := submit(srv, randInput(101))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,15 +148,15 @@ func TestSingleRequestLatencyBound(t *testing.T) {
 func TestQueueFullBackpressure(t *testing.T) {
 	srv := testServer(t, 4, "int8", Config{MaxBatch: 8, BatchDeadline: time.Millisecond, QueueDepth: 2})
 
-	r1, err := srv.Submit(randInput(1))
+	r1, err := submit(srv, randInput(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := srv.Submit(randInput(2))
+	r2, err := submit(srv, randInput(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(randInput(3)); err != ErrQueueFull {
+	if _, err := submit(srv, randInput(3)); err != ErrQueueFull {
 		t.Fatalf("overflow got %v, want ErrQueueFull", err)
 	}
 	if srv.Stats().Rejected != 1 {
@@ -173,7 +179,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 // TestBadInputShapeRejected: admission validates the input length.
 func TestBadInputShapeRejected(t *testing.T) {
 	srv := testServer(t, 5, "float", Config{})
-	if _, err := srv.Submit(make([]float32, 3)); err == nil {
+	if _, err := submit(srv, make([]float32, 3)); err == nil {
 		t.Fatal("wrong-length input must be rejected at admission")
 	}
 }
@@ -188,7 +194,7 @@ func TestDrainCompletesAcceptedRejectsNew(t *testing.T) {
 	const accepted = 5
 	resps := make([]<-chan Result, accepted)
 	for i := range resps {
-		r, err := srv.Submit(randInput(int64(40 + i)))
+		r, err := submit(srv, randInput(int64(40+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +215,7 @@ func TestDrainCompletesAcceptedRejectsNew(t *testing.T) {
 			t.Fatalf("accepted request %d not completed by drain", i)
 		}
 	}
-	if _, err := srv.Submit(randInput(99)); err != ErrDraining {
+	if _, err := submit(srv, randInput(99)); err != ErrDraining {
 		t.Fatalf("post-drain submit got %v, want ErrDraining", err)
 	}
 	// Idempotent drain.
@@ -243,7 +249,7 @@ func TestConcurrentClientsParity(t *testing.T) {
 					defer wg.Done()
 					for round := 0; round < rounds; round++ {
 						seed := int64(1000 + c*rounds + round)
-						resp, err := srv.Submit(randInput(seed))
+						resp, err := submit(srv, randInput(seed))
 						if err != nil {
 							t.Errorf("client %d: %v", c, err)
 							return
@@ -293,7 +299,7 @@ func TestConcurrentLoadBatchesRequests(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
-				resp, err := srv.Submit(randInput(int64(c*100 + round)))
+				resp, err := submit(srv, randInput(int64(c*100+round)))
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return

@@ -161,7 +161,7 @@ func TestHTTPStatusAndHealth(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	r, err := srv.Submit(randInput(70))
+	r, err := submit(srv, randInput(70))
 	if err != nil {
 		t.Fatal(err)
 	}

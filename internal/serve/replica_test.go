@@ -45,11 +45,11 @@ func TestReplicatedParityWithSingle(t *testing.T) {
 
 	for i := 0; i < 12; i++ {
 		in := randInput(int64(1000 + i))
-		rs, err := single.Submit(in)
+		rs, err := submit(single, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := pool.Submit(in)
+		rp, err := submit(pool, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestRoundRobinDispatch(t *testing.T) {
 	defer srv.Drain(10 * time.Second) //nolint:errcheck
 
 	for i := 0; i < rounds; i++ {
-		r, err := srv.Submit(randInput(int64(i)))
+		r, err := submit(srv, randInput(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestReplicatedReloadAll(t *testing.T) {
 	want := ref.Forward(x)
 	seen := make(map[int]bool)
 	for i := 0; i < replicas; i++ {
-		r, err := srv.Submit(in)
+		r, err := submit(srv, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestReplicatedDrainCompletesAccepted(t *testing.T) {
 	const n = 10
 	resps := make([]<-chan Result, n)
 	for i := range resps {
-		r, err := srv.Submit(randInput(int64(i)))
+		r, err := submit(srv, randInput(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestReplicatedDrainCompletesAccepted(t *testing.T) {
 			t.Fatalf("request %d accepted before drain never answered", i)
 		}
 	}
-	if _, err := srv.Submit(randInput(99)); err != ErrDraining {
+	if _, err := submit(srv, randInput(99)); err != ErrDraining {
 		t.Fatalf("post-drain submit err = %v, want ErrDraining", err)
 	}
 }
@@ -224,7 +224,7 @@ func TestReplicatedStatusEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 4; i++ {
-		r, err := srv.Submit(randInput(int64(i)))
+		r, err := submit(srv, randInput(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,5 +273,10 @@ func TestNewReplicatedValidation(t *testing.T) {
 	if _, err := NewReplicated([]*infer.Session{a, b},
 		Config{InputC: 1, InputH: 28, InputW: 28}); err == nil {
 		t.Fatal("replicas with different classifier widths must be rejected")
+	}
+	// A 4x4 input is too small for LeNet-5's 5x5 convs: the warmup
+	// forward panics, and that must come back as an error.
+	if _, err := NewReplicated([]*infer.Session{a}, Config{InputC: 1, InputH: 4, InputW: 4}); err == nil {
+		t.Fatal("a panicking warmup forward must be rejected")
 	}
 }

@@ -142,7 +142,7 @@ type pending struct {
 	id   string
 	x    []float32
 	ctx  context.Context // client lifetime; nil means no deadline
-	enq  time.Time       // admission (Submit) time
+	enq  time.Time       // admission (SubmitCtx) time
 	deq  time.Time       // collector pickup time; deq-enq is the queue wait
 	resp chan Result
 	// answered flips just before the resp send, so the panic-recovery
@@ -212,7 +212,6 @@ type Server struct {
 	served   atomic.Int64
 	rejected atomic.Int64
 	batches  atomic.Int64
-	batchSum atomic.Int64
 
 	// Telemetry instruments, bound at New. The latency-decomposition
 	// histograms (hQueueWait/hCollect/hExec/hScatter/hLatencyMS) use
@@ -263,15 +262,15 @@ func NewReplicated(sessions []*infer.Session, cfg Config) (*Server, error) {
 	classes := 0
 	replicas := make([]*replica, len(sessions))
 	for i, sess := range sessions {
-		probe := sess.Forward(tensor.New(1, cfg.InputC, cfg.InputH, cfg.InputW))
-		if probe.Rank() != 2 {
-			return nil, fmt.Errorf("serve: replica %d model output rank %d, want 2 (logits)", i, probe.Rank())
+		c, err := probeSession(sess, cfg.InputC, cfg.InputH, cfg.InputW)
+		if err != nil {
+			return nil, fmt.Errorf("serve: replica %d: %w", i, err)
 		}
 		if i == 0 {
-			classes = probe.Shape[1]
-		} else if probe.Shape[1] != classes {
+			classes = c
+		} else if c != classes {
 			return nil, fmt.Errorf("serve: replica %d has %d classes, replica 0 has %d (pools must host one model)",
-				i, probe.Shape[1], classes)
+				i, c, classes)
 		}
 		replicas[i] = &replica{id: i, work: make(chan workItem, 1)}
 		replicas[i].sess.Store(sess)
@@ -351,25 +350,14 @@ func (s *Server) Start() {
 	go s.sampleQPS()
 }
 
-// Submit admits one request (input length must be exactly C*H*W) and
+// SubmitCtx admits one request (input length must be exactly C*H*W) and
 // returns a channel that receives exactly one Result once its batch has
-// executed. ErrQueueFull and ErrDraining signal backpressure and
-// shutdown; the caller maps them to 429/503.
-func (s *Server) Submit(x []float32) (<-chan Result, error) {
-	return s.SubmitID(x, "")
-}
-
-// SubmitID is Submit with a caller-chosen correlation id (the HTTP
-// layer's X-ODQ-Request-ID) that rides through the batcher and comes
-// back in the Result.
-func (s *Server) SubmitID(x []float32, id string) (<-chan Result, error) {
-	return s.SubmitCtx(context.Background(), x, id)
-}
-
-// SubmitCtx is SubmitID honoring the client's lifetime: a request whose
-// ctx is already done when the collector picks it up is shed with
-// Result.Err instead of spending executor time on an answer nobody is
-// waiting for.
+// executed. id is a caller-chosen correlation id (the HTTP layer's
+// X-ODQ-Request-ID) that rides through the batcher and comes back in the
+// Result. A request whose ctx is already done when the collector picks it
+// up is shed with Result.Err instead of spending executor time on an
+// answer nobody is waiting for. ErrQueueFull and ErrDraining signal
+// backpressure and shutdown; the caller maps them to 429/503.
 func (s *Server) SubmitCtx(ctx context.Context, x []float32, id string) (<-chan Result, error) {
 	if want := s.cfg.InputC * s.cfg.InputH * s.cfg.InputW; len(x) != want {
 		return nil, fmt.Errorf("serve: input has %d values, want %d (%dx%dx%d)",
@@ -425,9 +413,9 @@ func (s *Server) Reload(path string) (uint64, error) {
 	return gen, nil
 }
 
-// Drain stops admission (new Submits get ErrDraining), lets the pool
-// finish every already-accepted request, and returns when every replica
-// has exited or the timeout elapsed.
+// Drain stops admission (new SubmitCtx calls get ErrDraining), lets the
+// pool finish every already-accepted request, and returns when every
+// replica has exited or the timeout elapsed.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
 	already := s.draining
@@ -472,7 +460,7 @@ func stageQuantiles(h *telemetry.Histogram) StageQuantiles {
 }
 
 // LatencyBreakdown decomposes request latency by pipeline stage:
-// queue wait (Submit to collector pickup, per request), batch collect
+// queue wait (SubmitCtx to collector pickup, per request), batch collect
 // (per batch), executor pass (per batch), scatter (per batch), and the
 // end-to-end total (per request). Always live — the underlying
 // histograms record regardless of the telemetry enable flag.
@@ -526,7 +514,7 @@ func (s *Server) Stats() Stats {
 		PerReplica:      make([]ReplicaStats, len(s.replicas)),
 	}
 	if st.Batches > 0 {
-		st.MeanBatch = float64(s.batchSum.Load()) / float64(st.Batches)
+		st.MeanBatch = float64(st.Served) / float64(st.Batches)
 	}
 	for i, r := range s.replicas {
 		st.PerReplica[i] = ReplicaStats{
@@ -771,18 +759,19 @@ func (s *Server) supervise(r *replica, it workItem, rec interface{}) {
 	olog.Info("replica respawned", "replica", r.id, "restarts", r.restarts.Load())
 }
 
-// probeSession warms a fresh session up with one batch-1 pass and
-// reports its classifier width; a panic during the probe is an error,
-// not a crash (the supervisor calls this on the recovery path).
+// probeSession warms a session up with one batch-1 pass and reports its
+// classifier width; a panic during the probe is an error, not a crash
+// (NewReplicated calls this at warmup, the supervisor on the recovery
+// path).
 func probeSession(sess *infer.Session, c, h, w int) (classes int, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = fmt.Errorf("serve: session probe panicked: %v", rec)
+			err = fmt.Errorf("session probe panicked: %v", rec)
 		}
 	}()
 	probe := sess.Forward(tensor.New(1, c, h, w))
 	if probe.Rank() != 2 {
-		return 0, fmt.Errorf("serve: session probe output rank %d, want 2 (logits)", probe.Rank())
+		return 0, fmt.Errorf("session probe output rank %d, want 2 (logits)", probe.Rank())
 	}
 	return probe.Shape[1], nil
 }
@@ -828,7 +817,6 @@ func (s *Server) execBatch(r *replica, batch []*pending) {
 	// reply arrives always includes that reply's batch.
 	s.served.Add(int64(n))
 	s.batches.Add(1)
-	s.batchSum.Add(int64(n))
 	r.served.Add(int64(n))
 	r.batches.Add(1)
 	s.mBatches.Inc()

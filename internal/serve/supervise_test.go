@@ -69,7 +69,7 @@ func TestPanicRespawnRestoresServing(t *testing.T) {
 	copy(x.Data, in)
 	want := ref.Forward(x)
 
-	r0, err := srv.Submit(in)
+	r0, err := submit(srv, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPanicRespawnRestoresServing(t *testing.T) {
 	}
 
 	srv.InjectPanic(1)
-	rc, err := srv.Submit(in)
+	rc, err := submit(srv, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPanicRespawnRestoresServing(t *testing.T) {
 	}
 
 	// The pool must keep serving while one replica is down or respawning.
-	rs, err := srv.Submit(in)
+	rs, err := submit(srv, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPanicRespawnRestoresServing(t *testing.T) {
 	// Post-respawn answers are bit-identical: the factory rebuilt the
 	// same weights, so the crash is invisible in the answers.
 	for i := 0; i < 4; i++ {
-		r, err := srv.Submit(in)
+		r, err := submit(srv, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestRespawnBudgetTombstones(t *testing.T) {
 	srv.Start()
 
 	submitErr := func() error {
-		r, err := srv.Submit(randInput(1))
+		r, err := submit(srv, randInput(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestDegradedReadiness(t *testing.T) {
 
 	kill := func() {
 		srv.InjectPanic(1)
-		r, err := srv.Submit(randInput(2))
+		r, err := submit(srv, randInput(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestDrainReloadPanicNoStrand(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				r, err := srv.Submit(randInput(int64(c*100 + i)))
+				r, err := submit(srv, randInput(int64(c*100+i)))
 				if err != nil {
 					continue // queue full / draining: rejected at admission is fine
 				}

@@ -3,9 +3,9 @@ package telemetry
 import "testing"
 
 // The disabled path is the contract that lets instrumentation live on hot
-// kernels permanently: one atomic load and a branch. These benchmarks are
-// the committed evidence (see BENCH_telemetry.json for the end-to-end
-// QAT-step / ODQ-conv overhead numbers).
+// kernels permanently: one atomic load and a branch. These benchmarks
+// price one site; the end-to-end cost of tracing a whole workload is
+// trace.overhead_pct in bench/ (bash bench/run.sh --trace 1).
 
 func BenchmarkCounterAddDisabled(b *testing.B) {
 	Disable()

@@ -20,10 +20,6 @@ func promHandler(w http.ResponseWriter, _ *http.Request) {
 	Default().WritePrometheus(w) //nolint:errcheck // best-effort debug endpoint
 }
 
-// PrometheusHandler returns the /metrics handler alone (for embedding
-// in an existing mux).
-func PrometheusHandler() http.Handler { return http.HandlerFunc(promHandler) }
-
 // DebugMux returns an http.ServeMux with the full debug surface:
 //
 //	/metrics      Prometheus text exposition (scrapable; includes fleet

@@ -76,14 +76,6 @@ func SetRank(rank int) {
 	identityMu.Unlock()
 }
 
-// SetReplica sets the serving replica index, leaving the rest of the
-// identity.
-func SetReplica(replica int) {
-	identityMu.Lock()
-	identity.Replica = replica
-	identityMu.Unlock()
-}
-
 // SetTraceID adopts a run trace id (a joiner learning the run's id from
 // the coordinator's welcome frame). Zero is ignored: an unidentified
 // peer must not erase an identity already established.

@@ -11,7 +11,8 @@
 //     (Counter.Add, Gauge.Set, Histogram.Observe, StartSpan/End) first
 //     performs one atomic load of the process-wide enable flag and
 //     branches out — a few nanoseconds, no stores, no shared-cache-line
-//     traffic (verified by the committed benchmarks in bench_test.go).
+//     traffic (priced per site by the benchmarks in bench_test.go; the
+//     end-to-end cost of tracing is trace.overhead_pct in bench/).
 //   - When enabled, counters and gauges are single atomic RMW operations
 //     and histograms are one atomic add per observation plus a CAS loop
 //     for the running sum: no locks, no allocations.

@@ -24,9 +24,10 @@ package tensor
 //     associative, so any blocking order yields the same accumulators as
 //     the naive loop. The ODQ sparse/dense `==` parity tests rely on this.
 //
-// The seed ikj kernels are retained as GemmNaive/GemmAccNaive/GemmIntNaive:
-// they are the parity oracles for the randomized kernel tests and the
-// baseline for BENCH_train_gemm.json.
+// The naive ikj kernels in gemm_kernel_test.go are the parity oracles for
+// the randomized kernel tests. End to end, float GEMM cost shows up in
+// bench/'s tensor.gemm_ms.b16 and the resnet20-train-dp2 workload's
+// throughput_per_s.
 
 import "repro/internal/telemetry"
 
@@ -542,95 +543,5 @@ func microIntEdge(ap, bp []int32, kc, mr, nr, h, w int, c []int64, ldc int) {
 		for j := 0; j < w; j++ {
 			cd[j] += trow[j]
 		}
-	}
-}
-
-// ---- Naive reference kernels (the seed implementation) ----
-//
-// Retained verbatim as the parity oracle for the randomized kernel tests
-// and as the baseline side of BENCH_train_gemm.json. Do not optimize.
-
-// GemmNaive is the seed ikj kernel: C = A*B, single-threaded.
-func GemmNaive(a, b, c []float32, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("tensor: GemmNaive buffer too small")
-	}
-	for i := 0; i < m; i++ {
-		ci := c[i*n : (i+1)*n]
-		for x := range ci {
-			ci[x] = 0
-		}
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
-}
-
-// GemmAccNaive is the seed ikj accumulation kernel: C += A*B.
-func GemmAccNaive(a, b, c []float32, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("tensor: GemmAccNaive buffer too small")
-	}
-	for i := 0; i < m; i++ {
-		ci := c[i*n : (i+1)*n]
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
-}
-
-// GemmIntNaive is the seed ikj integer kernel: C = A*B with int64
-// accumulation.
-func GemmIntNaive(a, b []int32, c []int64, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("tensor: GemmIntNaive buffer too small")
-	}
-	for i := 0; i < m; i++ {
-		ci := c[i*n : (i+1)*n]
-		for x := range ci {
-			ci[x] = 0
-		}
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := int64(ai[p])
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * int64(bv)
-			}
-		}
-	}
-}
-
-// MatVec computes y = A*x for row-major A (m×k) and dense x (k).
-func MatVec(a, x, y []float32, m, k int) {
-	if len(a) < m*k || len(x) < k || len(y) < m {
-		panic("tensor: MatVec buffer too small")
-	}
-	for i := 0; i < m; i++ {
-		var s float32
-		ai := a[i*k : (i+1)*k]
-		for p, v := range ai {
-			s += v * x[p]
-		}
-		y[i] = s
 	}
 }

@@ -7,6 +7,62 @@ import (
 	"testing"
 )
 
+// ---- Naive reference kernels (the seed implementation) ----
+//
+// The seed ikj loops, kept as the parity oracles for the randomized kernel
+// tests. Do not optimize.
+
+// gemmNaive is the seed ikj kernel: C = A*B, single-threaded.
+func gemmNaive(a, b, c []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		ci := c[i*n : (i+1)*n]
+		for x := range ci {
+			ci[x] = 0
+		}
+	}
+	gemmAccNaive(a, b, c, m, k, n)
+}
+
+// gemmAccNaive is the seed ikj accumulation kernel: C += A*B.
+func gemmAccNaive(a, b, c []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		ci := c[i*n : (i+1)*n]
+		ai := a[i*k : (i+1)*k]
+		for p := 0; p < k; p++ {
+			av := ai[p]
+			if av == 0 {
+				continue
+			}
+			bp := b[p*n : (p+1)*n]
+			for j, bv := range bp {
+				ci[j] += av * bv
+			}
+		}
+	}
+}
+
+// gemmIntNaive is the seed ikj integer kernel: C = A*B with int64
+// accumulation.
+func gemmIntNaive(a, b []int32, c []int64, m, k, n int) {
+	for i := 0; i < m; i++ {
+		ci := c[i*n : (i+1)*n]
+		for x := range ci {
+			ci[x] = 0
+		}
+		ai := a[i*k : (i+1)*k]
+		for p := 0; p < k; p++ {
+			av := int64(ai[p])
+			if av == 0 {
+				continue
+			}
+			bp := b[p*n : (p+1)*n]
+			for j, bv := range bp {
+				ci[j] += av * int64(bv)
+			}
+		}
+	}
+}
+
 // kernelShapes covers odd and prime dimensions, microkernel tail blocks
 // (one off either side of MR/NR), KC boundary straddles, and the CNN-scale
 // shape the benchmarks use.
@@ -85,7 +141,7 @@ func TestGemmTiledMatchesNaive(t *testing.T) {
 		got := make([]float32, m*n)
 		want := make([]float32, m*n)
 		Gemm(a, b, got, m, k, n)
-		GemmNaive(a, b, want, m, k, n)
+		gemmNaive(a, b, want, m, k, n)
 		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("Gemm %dx%dx%d", m, k, n))
 	}
 }
@@ -105,7 +161,7 @@ func TestGemmAccTiledMatchesNaive(t *testing.T) {
 		fillRandF32(rng, want)
 		copy(got, want)
 		GemmAcc(a, b, got, m, k, n)
-		GemmAccNaive(a, b, want, m, k, n)
+		gemmAccNaive(a, b, want, m, k, n)
 		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("GemmAcc %dx%dx%d", m, k, n))
 	}
 }
@@ -124,7 +180,7 @@ func TestGemmIntTiledBitExact(t *testing.T) {
 		got := make([]int64, m*n)
 		want := make([]int64, m*n)
 		GemmInt(a, b, got, m, k, n)
-		GemmIntNaive(a, b, want, m, k, n)
+		gemmIntNaive(a, b, want, m, k, n)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("GemmInt %dx%dx%d: element %d: got %d want %d (must be bit-exact)",
@@ -135,7 +191,7 @@ func TestGemmIntTiledBitExact(t *testing.T) {
 }
 
 // TestGemmTNMatchesMaterializedTranspose checks that the stride-absorbed
-// transpose of GemmTN matches materializing Aᵀ and running GemmAccNaive.
+// transpose of GemmTN matches materializing Aᵀ and running gemmAccNaive.
 func TestGemmTNMatchesMaterializedTranspose(t *testing.T) {
 	rng := NewRNG(19)
 	for _, sh := range kernelShapes() {
@@ -155,7 +211,7 @@ func TestGemmTNMatchesMaterializedTranspose(t *testing.T) {
 				at[i*k+p] = a[p*m+i]
 			}
 		}
-		GemmAccNaive(at, b, want, m, k, n)
+		gemmAccNaive(at, b, want, m, k, n)
 		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("GemmTN %dx%dx%d", m, k, n))
 	}
 }
@@ -180,7 +236,7 @@ func TestGemmNTMatchesMaterializedTranspose(t *testing.T) {
 				bt[p*n+j] = b[j*k+p]
 			}
 		}
-		GemmAccNaive(a, bt, want, m, k, n)
+		gemmAccNaive(a, bt, want, m, k, n)
 		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("GemmNT %dx%dx%d", m, k, n))
 	}
 }
@@ -280,7 +336,6 @@ func TestGemmDegenerateShapes(t *testing.T) {
 		GemmTN(nil, nil, nil, 0, 0, 0)
 		GemmNT(nil, nil, nil, 0, 0, 0)
 		GemmInt(nil, nil, nil, 0, 0, 0)
-		MatVec(nil, nil, nil, 0, 0)
 	})
 }
 
@@ -302,7 +357,7 @@ func TestGemmSerialSizeOnePool(t *testing.T) {
 	got := make([]float32, m*n)
 	want := make([]float32, m*n)
 	Gemm(a, b, got, m, k, n)
-	GemmNaive(a, b, want, m, k, n)
+	gemmNaive(a, b, want, m, k, n)
 	assertCloseF32(t, got, want, 1e-4, "size-one pool Gemm")
 }
 
@@ -375,7 +430,7 @@ func TestGemmConcurrentCallers(t *testing.T) {
 			wantI := make([]int64, m*n)
 			for iter := 0; iter < 8; iter++ {
 				Gemm(a, b, got, m, k, n)
-				GemmNaive(a, b, want, m, k, n)
+				gemmNaive(a, b, want, m, k, n)
 				for i := range want {
 					d := math.Abs(float64(got[i]) - float64(want[i]))
 					if d > 1e-4*math.Max(1, math.Abs(float64(want[i]))) {
@@ -384,7 +439,7 @@ func TestGemmConcurrentCallers(t *testing.T) {
 					}
 				}
 				GemmInt(ai, bi, gotI, m, k, n)
-				GemmIntNaive(ai, bi, wantI, m, k, n)
+				gemmIntNaive(ai, bi, wantI, m, k, n)
 				for i := range wantI {
 					if gotI[i] != wantI[i] {
 						errc <- fmt.Errorf("concurrent GemmInt diverged at %d", i)

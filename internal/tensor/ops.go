@@ -130,21 +130,6 @@ func (t *Tensor) ArgmaxRows() []int {
 	return out
 }
 
-// Transpose2 returns the transpose of a rank-2 tensor as a new tensor.
-func (t *Tensor) Transpose2() *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: Transpose2 requires a rank-2 tensor")
-	}
-	r, c := t.Shape[0], t.Shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.Data[j*r+i] = t.Data[i*c+j]
-		}
-	}
-	return out
-}
-
 func mustSameLen(a, b *Tensor, op string) {
 	if len(a.Data) != len(b.Data) {
 		panic(fmt.Sprintf("tensor: %s length mismatch %v vs %v", op, a.Shape, b.Shape))

@@ -124,12 +124,6 @@ func (t *Tensor) Set4(n, c, h, w int, v float32) {
 	t.Data[((n*t.Shape[1]+c)*t.Shape[2]+h)*t.Shape[3]+w] = v
 }
 
-// At2 reads element (i,j) of a rank-2 tensor.
-func (t *Tensor) At2(i, j int) float32 { return t.Data[i*t.Shape[1]+j] }
-
-// Set2 writes element (i,j) of a rank-2 tensor.
-func (t *Tensor) Set2(i, j int, v float32) { t.Data[i*t.Shape[1]+j] = v }
-
 // String renders a compact description (shape plus summary statistics),
 // not the full contents, which can be huge.
 func (t *Tensor) String() string {

@@ -148,17 +148,6 @@ func TestArgmax(t *testing.T) {
 	}
 }
 
-func TestTranspose2(t *testing.T) {
-	m := NewFrom([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	tr := m.Transpose2()
-	if tr.Shape[0] != 3 || tr.Shape[1] != 2 {
-		t.Fatalf("transpose shape %v", tr.Shape)
-	}
-	if tr.At2(2, 1) != 6 || tr.At2(0, 1) != 4 {
-		t.Fatalf("transpose content %v", tr.Data)
-	}
-}
-
 func TestSlice4BatchSharesStorage(t *testing.T) {
 	x := New(2, 1, 2, 2)
 	for i := range x.Data {
@@ -268,16 +257,6 @@ func TestGemmIntLargeCodesNoOverflow(t *testing.T) {
 	want := int64(32767) * 32767 * int64(k)
 	if c[0] != want {
 		t.Fatalf("GemmInt large = %d, want %d", c[0], want)
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	a := []float32{1, 2, 3, 4, 5, 6}
-	x := []float32{1, 1, 1}
-	y := make([]float32, 2)
-	MatVec(a, x, y, 2, 3)
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("MatVec = %v", y)
 	}
 }
 

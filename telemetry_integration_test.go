@@ -1,14 +1,12 @@
 package repro_bench
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/quant"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -29,6 +27,39 @@ func withTelemetry(t *testing.T) *telemetry.Registry {
 	return r
 }
 
+// qatNet builds a small QAT CNN: three 3×3 conv stages (32→64→64
+// channels, DoReFa 4-bit weight quantizers, QuantReLU activations) and a
+// linear classifier, on 3×32×32 inputs.
+func qatNet(rng *tensor.RNG) nn.Module {
+	qrelu := func(name string) nn.Module {
+		q := quant.NewQuantReLU(name, 4)
+		q.Range = 3
+		return q
+	}
+	conv := func(name string, inC, outC int) nn.Module {
+		c := nn.NewConv2D(name, inC, outC, 3, 1, 1, true, rng)
+		c.WeightQuant = &quant.WeightQuantizer{Bits: 4}
+		return c
+	}
+	return nn.NewSequential("qatcnn",
+		conv("c1", 3, 32), qrelu("q1"), nn.NewMaxPool2D("p1", 2, 2),
+		conv("c2", 32, 64), qrelu("q2"), nn.NewMaxPool2D("p2", 2, 2),
+		conv("c3", 64, 64), qrelu("q3"),
+		nn.NewFlatten("flat"), nn.NewLinear("fc", 64*8*8, 10, rng),
+	)
+}
+
+// qatBatch draws one batch of 32 inputs and labels for qatNet.
+func qatBatch(rng *tensor.RNG) (*tensor.Tensor, []int) {
+	x := tensor.New(32, 3, 32, 32)
+	rng.FillUniform(x, -1, 1)
+	y := make([]int, 32)
+	for i := range y {
+		y[i] = rng.Intn(10)
+	}
+	return x, y
+}
+
 // TestTelemetryParityQATStep checks instrumentation parity for training:
 // two identically seeded QAT networks stepped on the same batch, one with
 // telemetry enabled and one without, must produce bit-identical losses
@@ -45,8 +76,8 @@ func TestTelemetryParityQATStep(t *testing.T) {
 				telemetry.SetDefault(prev)
 			}()
 		}
-		net := benchQATNet(false, tensor.NewRNG(42))
-		x, y := benchQATBatch(tensor.NewRNG(43))
+		net := qatNet(tensor.NewRNG(42))
+		x, y := qatBatch(tensor.NewRNG(43))
 		opt := train.NewSGD(0.01, 0.9, 1e-4)
 		params := net.Params()
 		for i := 0; i < 3; i++ {
@@ -207,147 +238,4 @@ func TestTelemetryODQConvCounters(t *testing.T) {
 			t.Fatalf("int-GEMM branch trace missing span %q (have %v)", want, names)
 		}
 	}
-}
-
-// ---------- Committed overhead snapshot ----------
-
-// TelemetryCost is one disabled/enabled measurement pair.
-type TelemetryCost struct {
-	DisabledNs float64 `json:"disabled_ns"`
-	EnabledNs  float64 `json:"enabled_ns"`
-	// EnabledOverheadPct is (enabled-disabled)/disabled in percent.
-	EnabledOverheadPct float64 `json:"enabled_overhead_pct"`
-}
-
-// TelemetryBenchSnapshot is the BENCH_telemetry.json schema. The micro
-// section prices one instrumentation site; the macro section prices the
-// two hot end-to-end paths the acceptance criteria name (QAT step, ODQ
-// conv). The controlled measurement is EnabledOverheadPct — disabled and
-// enabled runs interleaved in one process, so machine drift cancels —
-// and it must stay under 2% (the disabled-path cost is strictly smaller
-// still). There is no cross-file baseline: a number recorded by another
-// snapshot, on another day or host, would compare drift, not telemetry.
-type TelemetryBenchSnapshot struct {
-	Micro map[string]TelemetryCost `json:"micro_per_site"`
-	Macro map[string]TelemetryCost `json:"macro"`
-}
-
-func costPair(disabled, enabled testing.BenchmarkResult) TelemetryCost {
-	// Fractional ns/op: a disabled site costs under 1 ns on a fast host,
-	// where the integer NsPerOp reads 0 and the overhead ratio divides by
-	// zero.
-	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
-	d, e := nsPerOp(disabled), nsPerOp(enabled)
-	return TelemetryCost{
-		DisabledNs:         d,
-		EnabledNs:          e,
-		EnabledOverheadPct: 100 * (e - d) / d,
-	}
-}
-
-// TestTelemetryBenchSnapshot regenerates BENCH_telemetry.json. Env-gated
-// like the other benchmark snapshots so CI never depends on timing:
-//
-//	TELEMETRY_BENCH_SNAPSHOT=1 go test -run TestTelemetryBenchSnapshot -v .
-func TestTelemetryBenchSnapshot(t *testing.T) {
-	if os.Getenv("TELEMETRY_BENCH_SNAPSHOT") != "1" {
-		t.Skip("set TELEMETRY_BENCH_SNAPSHOT=1 to regenerate BENCH_telemetry.json")
-	}
-	snap := &TelemetryBenchSnapshot{
-		Micro: map[string]TelemetryCost{},
-		Macro: map[string]TelemetryCost{},
-	}
-
-	// Micro: price a single instrumentation site in both states.
-	r := telemetry.NewRegistry()
-	prev := telemetry.SetDefault(r)
-	defer telemetry.SetDefault(prev)
-	c := telemetry.GetCounter("bench.counter")
-	h := telemetry.GetHistogram("bench.hist", telemetry.ExpBuckets(1, 2, 10))
-	micro := map[string]func(){
-		"counter_add":       func() { c.Add(1) },
-		"histogram_observe": func() { h.Observe(3) },
-		"span":              func() { telemetry.StartSpan("bench.span").End() },
-	}
-	for name, op := range micro {
-		telemetry.Disable()
-		dis := minOf3(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				op()
-			}
-		})
-		telemetry.Enable()
-		en := minOf3(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				op()
-			}
-		})
-		telemetry.Disable()
-		snap.Micro[name] = costPair(dis, en)
-	}
-	r.ResetSpans()
-
-	// Macro: the two acceptance paths end to end. Sequential min-of-3
-	// benchmark runs are too coarse here — shared-runner jitter between
-	// the disabled and enabled passes swamps a sub-percent effect — so
-	// each trial measures disabled and enabled back to back and the min
-	// per state is taken across many interleaved trials.
-	measurePair := func(op func(), iters, trials int) TelemetryCost {
-		dBest, eBest := math.Inf(1), math.Inf(1)
-		op() // warm pools and caches outside timing
-		for tr := 0; tr < trials; tr++ {
-			telemetry.Disable()
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				op()
-			}
-			if ns := float64(time.Since(t0)) / float64(iters); ns < dBest {
-				dBest = ns
-			}
-			telemetry.Enable()
-			t0 = time.Now()
-			for i := 0; i < iters; i++ {
-				op()
-			}
-			if ns := float64(time.Since(t0)) / float64(iters); ns < eBest {
-				eBest = ns
-			}
-		}
-		telemetry.Disable()
-		telemetry.Default().ResetSpans()
-		return TelemetryCost{
-			DisabledNs:         dBest,
-			EnabledNs:          eBest,
-			EnabledOverheadPct: 100 * (eBest - dBest) / dBest,
-		}
-	}
-
-	// QAT training step, batch 32 (the BenchmarkQATStep packed path).
-	qatNet := benchQATNet(false, tensor.NewRNG(42))
-	qatX, qatY := benchQATBatch(tensor.NewRNG(43))
-	qatOpt := train.NewSGD(0.01, 0.9, 1e-4)
-	qatParams := qatNet.Params()
-	snap.Macro["qat_step_batch32"] = measurePair(func() {
-		train.Step(qatNet, qatX, qatY, qatOpt, qatParams)
-	}, 2, 20)
-
-	// ODQ conv pinned at the ~30%-sensitive scenario (sens30 in
-	// BENCH_bitplane.json's conv grid).
-	convM, xM := benchConvLayer()
-	th30 := thresholdForSensitivity(convM, xM, 0.30)
-	convM.Exec = core.NewExec(th30)
-	snap.Macro["odq_conv"] = measurePair(func() {
-		convM.Forward(xM, false)
-	}, 10, 40)
-	convM.Exec = nil
-
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_telemetry.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("micro: %+v", snap.Micro)
-	t.Logf("macro: %+v", snap.Macro)
 }
