@@ -75,9 +75,7 @@ type Exec struct {
 
 	quant.Profiler
 
-	mu       sync.Mutex
-	cacheGen uint64
-	wcache   map[*nn.Conv2D]*weightCodes
+	wcache quant.WeightCache[*weightCodes]
 
 	distMu      sync.Mutex
 	collectDist bool
@@ -152,7 +150,6 @@ func NewExec(threshold float32, opts ...Option) *Exec {
 		bits:      4,
 		predBits:  2,
 		threshold: threshold,
-		wcache:    make(map[*nn.Conv2D]*weightCodes),
 	}
 	for _, o := range opts {
 		o(e)
@@ -168,9 +165,6 @@ func NewExec(threshold float32, opts ...Option) *Exec {
 
 // Bits returns the total quantization width.
 func (e *Exec) Bits() int { return e.bits }
-
-// PredBits returns the sensitivity-predictor width.
-func (e *Exec) PredBits() int { return e.predBits }
 
 // Threshold returns the current network-wide sensitivity threshold (the
 // threshold search in this package adjusts it between passes).
@@ -206,49 +200,27 @@ func (e *Exec) buildWeightCodes(layer *nn.Conv2D) *weightCodes {
 	return wc
 }
 
-// weights returns the cached weight codes for a layer. Quantization runs
-// outside the lock; the result is stored only if no InvalidateCache
-// intervened (generation check), so a retraining step can never have its
-// invalidation undone by an in-flight Conv that read the old
-// EffectiveWeight.
+// weights returns the weight codes for a layer, from the cache unless
+// WithoutWeightCache is set.
 func (e *Exec) weights(layer *nn.Conv2D) *weightCodes {
 	if e.noWeightCache {
 		return e.buildWeightCodes(layer)
 	}
-	e.mu.Lock()
-	if wc, ok := e.wcache[layer]; ok {
-		e.mu.Unlock()
+	wc, hit := e.wcache.Get(layer, e.buildWeightCodes)
+	if hit {
 		mODQCacheHits.Inc()
-		return wc
-	}
-	gen := e.cacheGen
-	e.mu.Unlock()
-	mODQCacheMisses.Inc()
-
-	wc := e.buildWeightCodes(layer)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cached, ok := e.wcache[layer]; ok {
-		return cached
-	}
-	if e.cacheGen == gen {
-		e.wcache[layer] = wc
+	} else {
+		mODQCacheMisses.Inc()
 	}
 	return wc
 }
 
 // InvalidateCache drops cached weight codes. The retraining contract:
-// call it after every weight mutation BEFORE issuing new Conv calls.
-// Conv calls in flight across the invalidation may still return results
-// from the pre-update weights, but generation tracking guarantees they
-// cannot re-populate the cache with stale codes.
+// call it after every weight mutation BEFORE issuing new Conv calls
+// (see quant.WeightCache).
 func (e *Exec) InvalidateCache() {
 	mODQInvalidations.Inc()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cacheGen++
-	e.wcache = make(map[*nn.Conv2D]*weightCodes)
+	e.wcache.Invalidate()
 }
 
 // fuse combines the predictor partial with the three executor partials

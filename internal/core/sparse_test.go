@@ -143,9 +143,11 @@ func TestConcurrentConvSharedExec(t *testing.T) {
 	wg.Wait()
 }
 
-// TestInvalidateCacheGeneration pins the bugfix: a weight-code computation
-// that straddles InvalidateCache must not re-populate the cache with codes
-// from the stale weights.
+// TestInvalidateCacheGeneration checks, sequentially, that InvalidateCache
+// after a weight mutation makes the next Conv requantize the new weights,
+// and that the rebuilt codes then stay cached. The straddling case (a
+// build running across the invalidation) is pinned deterministically in
+// quant.TestWeightCacheStraddlingBuildNotStored.
 func TestInvalidateCacheGeneration(t *testing.T) {
 	rng := tensor.NewRNG(44)
 	conv := nn.NewConv2D("c", 1, 1, 3, 1, 1, false, rng)

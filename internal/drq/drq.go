@@ -24,14 +24,15 @@ import (
 // published by the shared Profiler.Record telemetry hook.
 var mDRQConvs = telemetry.GetCounter("drq.convs")
 
+// regionEdge is the spatial region edge in pixels.
+const regionEdge = 4
+
 // Exec is the DRQ convolution executor. Configuration is fixed at
 // construction time through Option values.
 type Exec struct {
 	// highBits/lowBits are the two precisions (the paper evaluates
 	// 8/4 and 4/2).
 	highBits, lowBits int
-	// regionSize is the spatial region edge in pixels.
-	regionSize int
 	// thresholdScale multiplies the layer's mean input magnitude to form
 	// the region-sensitivity threshold; 1.0 marks above-average regions
 	// as sensitive.
@@ -45,21 +46,20 @@ type Exec struct {
 
 	quant.Profiler
 
-	mu         sync.Mutex
-	cacheGen   uint64
-	wcacheHi   map[*nn.Conv2D]*tensor.IntTensor
-	wcacheLo   map[*nn.Conv2D]*tensor.IntTensor
+	wcache quant.WeightCache[drqWeights]
+
+	mu         sync.Mutex // guards the motivation statistics
 	motivation map[string]*MotivationStat
 	motOrder   []string
 }
 
+// drqWeights is one layer's cached weight codes at both precisions.
+type drqWeights struct {
+	hi, lo *tensor.IntTensor
+}
+
 // Option configures a DRQ Exec at construction time.
 type Option func(*Exec)
-
-// WithRegionSize sets the spatial region edge (default 4).
-func WithRegionSize(n int) Option {
-	return func(e *Exec) { e.regionSize = n }
-}
 
 // WithThresholdScale sets the region-sensitivity threshold as a multiple
 // of the layer's mean input magnitude (default 1.0).
@@ -116,10 +116,7 @@ func NewExec(highBits, lowBits int, opts ...Option) *Exec {
 	e := &Exec{
 		highBits:       highBits,
 		lowBits:        lowBits,
-		regionSize:     4,
 		thresholdScale: 1.0,
-		wcacheHi:       make(map[*nn.Conv2D]*tensor.IntTensor),
-		wcacheLo:       make(map[*nn.Conv2D]*tensor.IntTensor),
 		motivation:     make(map[string]*MotivationStat),
 	}
 	for _, o := range opts {
@@ -127,12 +124,6 @@ func NewExec(highBits, lowBits int, opts ...Option) *Exec {
 	}
 	return e
 }
-
-// HighBits returns the high precision width.
-func (e *Exec) HighBits() int { return e.highBits }
-
-// LowBits returns the low precision width.
-func (e *Exec) LowBits() int { return e.lowBits }
 
 // MotivationStats returns the accumulated Figure 2–5 measurements in
 // layer order.
@@ -155,45 +146,19 @@ func (e *Exec) ResetMotivation() {
 }
 
 // weights returns the cached high/low weight codes for a layer.
-// Quantization runs outside the lock; the result is stored only if no
-// InvalidateCache intervened (generation check), so an in-flight Conv can
-// never re-populate the cache from stale weights.
-func (e *Exec) weights(layer *nn.Conv2D) (hi, lo *tensor.IntTensor) {
-	e.mu.Lock()
-	if h, ok := e.wcacheHi[layer]; ok {
-		l := e.wcacheLo[layer]
-		e.mu.Unlock()
-		return h, l
-	}
-	gen := e.cacheGen
-	e.mu.Unlock()
+func (e *Exec) weights(layer *nn.Conv2D) drqWeights {
+	w, _ := e.wcache.Get(layer, e.buildWeights)
+	return w
+}
 
+func (e *Exec) buildWeights(layer *nn.Conv2D) drqWeights {
 	w := layer.EffectiveWeight()
-	h := quant.WeightCodes(w, e.highBits)
-	l := quant.WeightCodes(w, e.lowBits)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ch, ok := e.wcacheHi[layer]; ok {
-		return ch, e.wcacheLo[layer]
-	}
-	if e.cacheGen == gen {
-		e.wcacheHi[layer] = h
-		e.wcacheLo[layer] = l
-	}
-	return h, l
+	return drqWeights{hi: quant.WeightCodes(w, e.highBits), lo: quant.WeightCodes(w, e.lowBits)}
 }
 
 // InvalidateCache drops cached weight codes. Call after every weight
-// mutation before issuing new Conv calls; generation tracking keeps
-// in-flight Conv calls from re-populating the cache with stale codes.
-func (e *Exec) InvalidateCache() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cacheGen++
-	e.wcacheHi = make(map[*nn.Conv2D]*tensor.IntTensor)
-	e.wcacheLo = make(map[*nn.Conv2D]*tensor.IntTensor)
-}
+// mutation before issuing new Conv calls (see quant.WeightCache).
+func (e *Exec) InvalidateCache() { e.wcache.Invalidate() }
 
 // RegionMask classifies each spatial position of x [N,C,H,W] as sensitive
 // (true) or not, by comparing its region's mean magnitude (across
@@ -303,14 +268,15 @@ func (e *Exec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
 	for s := 0; s < n; s++ {
 		sample := x.Slice4Batch(s)
 		threshold := e.thresholdScale * meanMagnitude(sample)
-		masks = append(masks, RegionMask(sample, e.regionSize, threshold)...)
+		masks = append(masks, RegionMask(sample, regionEdge, threshold)...)
 	}
 
 	xHi := maskedCopy(x, masks, true)
 	xLo := maskedCopy(x, masks, false)
 	qxHi := quant.ActCodes(xHi, e.highBits)
 	qxLo := quant.ActCodes(xLo, e.lowBits)
-	wHi, wLo := e.weights(layer)
+	w := e.weights(layer)
+	wHi, wLo := w.hi, w.lo
 
 	accHi, g := quant.ConvAccum(qxHi, wHi, layer.Stride, layer.Pad)
 	accLo, _ := quant.ConvAccum(qxLo, wLo, layer.Stride, layer.Pad)
@@ -352,7 +318,7 @@ func (e *Exec) motivationStats(x, xLo *tensor.Tensor, masks [][]bool, drqOut *te
 
 	// All-low-precision convolution for Eq. 1.
 	qxAll := quant.ActCodes(x, e.lowBits)
-	_, wLo := e.weights(layer)
+	wLo := e.weights(layer).lo
 	accAll, _ := quant.ConvAccum(qxAll, wLo, layer.Stride, layer.Pad)
 	allLow := quant.DequantAccum(accAll, qxAll.Scale*wLo.Scale, n, g)
 

@@ -20,9 +20,9 @@ type Exec struct {
 	// Cfg is the slice configuration (threshold included).
 	Cfg Config
 
-	mu       sync.Mutex
-	cacheGen uint64
-	wcache   map[*nn.Conv2D]*tensor.IntTensor
+	wcache quant.WeightCache[*tensor.IntTensor]
+
+	mu sync.Mutex // guards the totals below
 	// Totals accumulated across layers and samples.
 	TotalCycles     int64
 	TotalDRAMBytes  int64
@@ -35,8 +35,7 @@ type Exec struct {
 
 // Option configures a fabric Exec at construction time — the same
 // functional-options construction idiom as the other executors
-// (core.NewExec, quant.NewStaticExec, quant.NewPerChannelExec,
-// drq.NewExec).
+// (core.NewExec, quant.NewStaticExec and NewPerChannelExec, drq.NewExec).
 type Option func(*Exec)
 
 // WithConfig sets the slice configuration (threshold included). Without
@@ -52,60 +51,28 @@ func WithThreshold(threshold float32) Option {
 	return func(e *Exec) { e.Cfg.Threshold = threshold }
 }
 
-// WithBits sets the code width (default 4, the paper's).
-func WithBits(bits int) Option {
-	return func(e *Exec) { e.Bits = bits }
-}
-
 // New builds a fabric-backed executor with the paper's running-example
 // slice configuration, modified by the given options.
 func New(opts ...Option) *Exec {
-	e := &Exec{Bits: 4, Cfg: DefaultConfig(0), wcache: make(map[*nn.Conv2D]*tensor.IntTensor)}
+	e := &Exec{Bits: 4, Cfg: DefaultConfig(0)}
 	for _, o := range opts {
 		o(e)
 	}
 	return e
 }
 
-// weights returns cached integer weight codes for a layer. Quantization
-// runs outside the lock; the result is stored only if no InvalidateCache
-// intervened (generation check), so an in-flight Conv can never
-// re-populate the cache from stale weights.
-func (e *Exec) weights(layer *nn.Conv2D) *tensor.IntTensor {
-	e.mu.Lock()
-	if q, ok := e.wcache[layer]; ok {
-		e.mu.Unlock()
-		return q
-	}
-	gen := e.cacheGen
-	e.mu.Unlock()
-
-	q := quant.WeightCodes(layer.EffectiveWeight(), e.Bits)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cur, ok := e.wcache[layer]; ok {
-		return cur
-	}
-	if e.cacheGen == gen {
-		e.wcache[layer] = q
-	}
-	return q
+func (e *Exec) buildWeights(layer *nn.Conv2D) *tensor.IntTensor {
+	return quant.WeightCodes(layer.EffectiveWeight(), e.Bits)
 }
 
 // InvalidateCache drops cached weight codes (call after weight mutation,
 // before new Conv calls — the executor-family contract).
-func (e *Exec) InvalidateCache() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cacheGen++
-	e.wcache = make(map[*nn.Conv2D]*tensor.IntTensor)
-}
+func (e *Exec) InvalidateCache() { e.wcache.Invalidate() }
 
 // Conv implements nn.ConvExecutor by pushing each sample through RunConv.
 func (e *Exec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
 	n := x.Shape[0]
-	qw := e.weights(layer)
+	qw, _ := e.wcache.Get(layer, e.buildWeights)
 	g := layer.Geom(x.Shape[2], x.Shape[3])
 	out := tensor.New(n, g.OutC, g.OutH, g.OutW)
 	outPer := g.OutC * g.OutH * g.OutW

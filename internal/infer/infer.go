@@ -24,14 +24,14 @@ import (
 // Executor is the interface every quantized conv executor in this repo
 // satisfies: it can run a convolution in place of the float path, and it
 // can drop its packed weight-code caches after a weight mutation.
-// Implementations: core.Exec (ODQ), quant.StaticExec, quant.PerChannelExec,
-// drq.Exec, fabric.Exec.
+// Implementations: core.Exec (ODQ), quant.StaticExec (per-tensor and
+// per-channel scales), drq.Exec, fabric.Exec.
 type Executor interface {
 	nn.ConvExecutor
 	// InvalidateCache drops cached weight codes. The contract (from the
-	// generation-tracked caches): call it after every weight mutation
-	// BEFORE issuing new Conv calls; in-flight Conv calls can never
-	// re-populate a cache with stale codes.
+	// shared generation-checked quant.WeightCache): call it after every
+	// weight mutation BEFORE issuing new Conv calls; in-flight Conv calls
+	// can never re-populate a cache with stale codes.
 	InvalidateCache()
 }
 
@@ -45,7 +45,6 @@ type Profiled interface {
 var (
 	_ Executor = (*core.Exec)(nil)
 	_ Executor = (*quant.StaticExec)(nil)
-	_ Executor = (*quant.PerChannelExec)(nil)
 	_ Executor = (*drq.Exec)(nil)
 	_ Executor = (*fabric.Exec)(nil)
 )
@@ -57,8 +56,6 @@ type options struct {
 	threshold     float32
 	profiling     bool
 	maskRecording bool
-	noWeightCache bool
-	workers       int
 	packedDomain  bool
 }
 
@@ -81,17 +78,6 @@ func WithProfiling() Option {
 // masks (odq only; implies WithProfiling there).
 func WithMaskRecording() Option {
 	return func(o *options) { o.maskRecording = true }
-}
-
-// WithoutWeightCache disables weight-code caching on schemes that cache
-// (use while weights mutate every step, e.g. threshold-aware retraining).
-func WithoutWeightCache() Option {
-	return func(o *options) { o.noWeightCache = true }
-}
-
-// WithWorkers caps executor parallelism on schemes that fan out (odq).
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
 }
 
 // WithPackedDomain makes NewSession compile the packed-INT4
@@ -127,9 +113,9 @@ var schemes = []Scheme{
 	{Name: "int4", Description: "static INT4, per-tensor scales",
 		build: func(o options) Executor { return quant.NewStaticExec(4, staticOpts(o)...) }},
 	{Name: "int8pc", Description: "static INT8, per-output-channel weight scales",
-		build: func(o options) Executor { return quant.NewPerChannelExec(8, perChannelOpts(o)...) }},
+		build: func(o options) Executor { return quant.NewPerChannelExec(8, staticOpts(o)...) }},
 	{Name: "int4pc", Description: "static INT4, per-output-channel weight scales",
-		build: func(o options) Executor { return quant.NewPerChannelExec(4, perChannelOpts(o)...) }},
+		build: func(o options) Executor { return quant.NewPerChannelExec(4, staticOpts(o)...) }},
 	{Name: "drq84", Description: "DRQ input-directed dynamic quantization, 8/4 bits", TailOnly: true,
 		build: func(o options) Executor { return drq.NewExec(8, 4, drqOpts(o)...) }},
 	{Name: "drq42", Description: "DRQ input-directed dynamic quantization, 4/2 bits", TailOnly: true,
@@ -144,14 +130,6 @@ func staticOpts(o options) []quant.StaticOption {
 	var opts []quant.StaticOption
 	if o.profiling || o.maskRecording {
 		opts = append(opts, quant.WithStaticProfiling())
-	}
-	return opts
-}
-
-func perChannelOpts(o options) []quant.PerChannelOption {
-	var opts []quant.PerChannelOption
-	if o.profiling || o.maskRecording {
-		opts = append(opts, quant.WithPerChannelProfiling())
 	}
 	return opts
 }
@@ -171,12 +149,6 @@ func odqOpts(o options) []core.Option {
 	}
 	if o.maskRecording {
 		opts = append(opts, core.WithMaskRecording())
-	}
-	if o.noWeightCache {
-		opts = append(opts, core.WithoutWeightCache())
-	}
-	if o.workers != 0 {
-		opts = append(opts, core.WithWorkers(o.workers))
 	}
 	return opts
 }

@@ -171,10 +171,20 @@ func (s *Session) ReloadFile(path string) error {
 
 // Warmup runs one batch-1 zero-input forward so every layer packs its
 // weight codes into the executor caches and the scratch pools reach
-// steady state before the first real request pays for it.
-func (s *Session) Warmup(c, h, w int) {
-	x := tensor.New(1, c, h, w)
-	s.Forward(x)
+// steady state before the first real request pays for it. It returns
+// the classifier width; a panic during the pass, or an output that is
+// not rank-2 logits, is an error rather than a crash.
+func (s *Session) Warmup(c, h, w int) (classes int, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("session warmup panicked: %v", rec)
+		}
+	}()
+	out := s.Forward(tensor.New(1, c, h, w))
+	if out.Rank() != 2 {
+		return 0, fmt.Errorf("session warmup output rank %d, want 2 (logits)", out.Rank())
+	}
+	return out.Shape[1], nil
 }
 
 // Close uninstalls the executor, restoring the model's plain float path.

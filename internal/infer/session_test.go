@@ -54,53 +54,58 @@ func TestReloadInvalidatesExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestReloadStaleWeightImpossible extends PR 1's generation test to the
-// session reload path: after a hot reload swaps the weights, no
-// subsequent Forward may ever see results computed from the old weight
-// codes — the reloaded session must be bit-identical to a session built
-// fresh on the new weights.
+// TestReloadStaleWeightImpossible pins the session reload path for every
+// scheme that caches weight codes: after a hot reload swaps the weights,
+// no subsequent Forward may ever see results computed from the old
+// weight codes — the reloaded session must be bit-identical to a session
+// built fresh on the new weights.
 func TestReloadStaleWeightImpossible(t *testing.T) {
-	x := testInput(2, 31)
+	for _, scheme := range []string{"odq", "int4", "int8pc", "int4pc", "drq84", "fabric"} {
+		t.Run(scheme, func(t *testing.T) {
+			x := testInput(2, 31)
 
-	// Session A: build on seed-1 weights, run (packing seed-1 weight
-	// codes into the executor cache), then hot-reload seed-2 weights.
-	netA := testNet(t, 1)
-	sessA, err := NewSession(netA, "odq", WithThreshold(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := sessA.Forward(x)
+			// Session A: build on seed-1 weights, run (packing seed-1
+			// weight codes into the executor cache), then hot-reload
+			// seed-2 weights.
+			netA := testNet(t, 1)
+			sessA, err := NewSession(netA, scheme, WithThreshold(0.5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := sessA.Forward(x)
 
-	netB := testNet(t, 2)
-	var buf bytes.Buffer
-	if err := nn.Save(&buf, netB); err != nil {
-		t.Fatal(err)
-	}
-	if err := sessA.Reload(&buf); err != nil {
-		t.Fatal(err)
-	}
-	after := sessA.Forward(x)
+			netB := testNet(t, 2)
+			var buf bytes.Buffer
+			if err := nn.Save(&buf, netB); err != nil {
+				t.Fatal(err)
+			}
+			if err := sessA.Reload(&buf); err != nil {
+				t.Fatal(err)
+			}
+			after := sessA.Forward(x)
 
-	// Reference: a fresh session built directly on seed-2 weights.
-	netRef := testNet(t, 2)
-	sessRef, err := NewSession(netRef, "odq", WithThreshold(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sessRef.Forward(x)
+			// Reference: a fresh session built directly on seed-2 weights.
+			netRef := testNet(t, 2)
+			sessRef, err := NewSession(netRef, scheme, WithThreshold(0.5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sessRef.Forward(x)
 
-	if tensor.MaxAbsDiff(after, want) != 0 {
-		t.Fatal("post-reload output must be bit-identical to a fresh session on the new weights (stale weight codes leaked)")
-	}
-	if tensor.MaxAbsDiff(before, after) == 0 {
-		t.Fatal("reload did not change the output — test net weights too similar to detect staleness")
-	}
+			if tensor.MaxAbsDiff(after, want) != 0 {
+				t.Fatal("post-reload output must be bit-identical to a fresh session on the new weights (stale weight codes leaked)")
+			}
+			if tensor.MaxAbsDiff(before, after) == 0 {
+				t.Fatal("reload did not change the output — test net weights too similar to detect staleness")
+			}
 
-	// Repeat the forward: the cache now holds the fresh codes and must
-	// stay stable.
-	again := sessA.Forward(x)
-	if tensor.MaxAbsDiff(after, again) != 0 {
-		t.Fatal("post-reload cache must be stable across calls")
+			// Repeat the forward: the cache now holds the fresh codes and
+			// must stay stable.
+			again := sessA.Forward(x)
+			if tensor.MaxAbsDiff(after, again) != 0 {
+				t.Fatal("post-reload cache must be stable across calls")
+			}
+		})
 	}
 }
 

@@ -2,9 +2,7 @@ package quant
 
 import (
 	"math"
-	"sync"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -62,99 +60,3 @@ func DequantAccumPerChannel(acc []int64, actScale float32, wScales []float32, n 
 	}
 	return out
 }
-
-// PerChannelExec is a static INT-k executor with per-output-channel weight
-// scales — the per-channel ablation of the static baselines.
-type PerChannelExec struct {
-	bits int
-	Profiler
-
-	mu       sync.Mutex
-	cacheGen uint64
-	wcache   map[*nn.Conv2D]perChanWeights
-}
-
-type perChanWeights struct {
-	codes  *tensor.IntTensor
-	scales []float32
-}
-
-// PerChannelOption configures a PerChannelExec at construction time.
-type PerChannelOption func(*PerChannelExec)
-
-// WithPerChannelProfiling enables per-layer profile recording.
-func WithPerChannelProfiling() PerChannelOption {
-	return func(e *PerChannelExec) { e.EnableProfiling() }
-}
-
-// NewPerChannelExec builds a per-channel static executor.
-func NewPerChannelExec(bits int, opts ...PerChannelOption) *PerChannelExec {
-	if bits < 1 || bits > 16 {
-		panic("quant: NewPerChannelExec bits out of range [1,16]")
-	}
-	e := &PerChannelExec{bits: bits, wcache: make(map[*nn.Conv2D]perChanWeights)}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
-}
-
-// Bits returns the configured bit width.
-func (e *PerChannelExec) Bits() int { return e.bits }
-
-// weightCodes returns the cached per-channel codes for a layer.
-// Quantization runs outside the lock; the result is stored only if no
-// InvalidateCache intervened (generation check), so an in-flight Conv can
-// never re-populate the cache from stale weights — the same contract as
-// the other executors' weight caches.
-func (e *PerChannelExec) weightCodes(layer *nn.Conv2D) perChanWeights {
-	e.mu.Lock()
-	if w, ok := e.wcache[layer]; ok {
-		e.mu.Unlock()
-		return w
-	}
-	gen := e.cacheGen
-	e.mu.Unlock()
-
-	codes, scales := WeightCodesPerChannel(layer.EffectiveWeight(), e.bits)
-	w := perChanWeights{codes: codes, scales: scales}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cur, ok := e.wcache[layer]; ok {
-		return cur
-	}
-	if e.cacheGen == gen {
-		e.wcache[layer] = w
-	}
-	return w
-}
-
-// InvalidateCache drops cached weight codes. Call it after every weight
-// mutation BEFORE issuing new Conv calls; generation tracking keeps
-// in-flight Conv calls from re-populating the cache with stale codes.
-func (e *PerChannelExec) InvalidateCache() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cacheGen++
-	e.wcache = make(map[*nn.Conv2D]perChanWeights)
-}
-
-// Conv implements nn.ConvExecutor.
-func (e *PerChannelExec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
-	w := e.weightCodes(layer)
-	qx := ActCodes(x, e.bits)
-	acc, g := ConvAccum(qx, w.codes, layer.Stride, layer.Pad)
-	n := x.Shape[0]
-	out := DequantAccumPerChannel(acc, qx.Scale, w.scales, n, g)
-	e.Record(&LayerProfile{
-		Name:         layer.Name,
-		Geom:         g,
-		Batch:        n,
-		TotalOutputs: int64(n) * int64(g.TotalOutputs()),
-		TotalMACs:    int64(n) * g.TotalMACs(),
-	})
-	return out
-}
-
-var _ nn.ConvExecutor = (*PerChannelExec)(nil)

@@ -85,7 +85,7 @@ func TestDequantAccumPerChannel(t *testing.T) {
 func TestPerChannelExecProfiler(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	conv := nn.NewConv2D("c", 2, 2, 3, 1, 1, false, rng)
-	e := NewPerChannelExec(8, WithPerChannelProfiling())
+	e := NewPerChannelExec(8, WithStaticProfiling())
 	conv.Exec = e
 	conv.Forward(tensor.New(1, 2, 6, 6), false)
 	if len(e.Profiles()) != 1 {

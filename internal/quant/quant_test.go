@@ -398,6 +398,37 @@ func TestStaticExecWeightCache(t *testing.T) {
 	}
 }
 
+// TestStaticExecBitExact pins both static paths, bit for bit, to the
+// integer reference they implement: per-tensor weight scales through
+// DequantAccum, per-channel scales through DequantAccumPerChannel.
+func TestStaticExecBitExact(t *testing.T) {
+	rng := tensor.NewRNG(18)
+	layer := nn.NewConv2D("c", 3, 5, 3, 2, 1, false, rng)
+	x := tensor.New(2, 3, 9, 9)
+	rng.FillUniform(x, -0.2, 1.2) // some codes clamp at both ends
+	w := layer.EffectiveWeight()
+	same := func(name string, b int, got, want *tensor.Tensor) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s b=%d: output %d = %v, want %v", name, b, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	for _, b := range []int{4, 8, 16} {
+		qx := ActCodes(x, b)
+		qw := WeightCodes(w, b)
+		acc, g := ConvAccum(qx, qw, layer.Stride, layer.Pad)
+		same("NewStaticExec", b, NewStaticExec(b).Conv(x, layer),
+			DequantAccum(acc, qx.Scale*qw.Scale, x.Shape[0], g))
+
+		qc, scales := WeightCodesPerChannel(w, b)
+		accC, _ := ConvAccum(qx, qc, layer.Stride, layer.Pad)
+		same("NewPerChannelExec", b, NewPerChannelExec(b).Conv(x, layer),
+			DequantAccumPerChannel(accC, qx.Scale, scales, x.Shape[0], g))
+	}
+}
+
 func TestProfilerAccumulates(t *testing.T) {
 	rng := tensor.NewRNG(16)
 	conv := nn.NewConv2D("c1", 1, 2, 3, 1, 1, false, rng)

@@ -59,9 +59,6 @@ func (p *Profiler) EnableMaskRecording() {
 	p.keepMasks = true
 }
 
-// ProfilingEnabled reports whether Record is collecting.
-func (p *Profiler) ProfilingEnabled() bool { return p.enabled }
-
 // Reset clears accumulated profiles.
 func (p *Profiler) Reset() {
 	p.mu.Lock()
@@ -118,14 +115,23 @@ func (p *Profiler) Record(lp *LayerProfile) {
 // StaticExec is the DoReFa-Net-style static quantization executor: every
 // conv input and weight is quantized to the same fixed bit width (INT16,
 // INT8, INT4 ... per the paper's baselines) and the convolution runs in
-// integer arithmetic.
+// integer arithmetic. Weights take one scale per tensor (NewStaticExec)
+// or one per output channel (NewPerChannelExec, the per-channel ablation
+// of the static baselines); either way the executor caches one scale per
+// output channel and dequantizes through DequantAccumPerChannel.
 type StaticExec struct {
-	bits int
+	bits       int
+	perChannel bool
 	Profiler
 
-	mu       sync.Mutex
-	cacheGen uint64
-	wcache   map[*nn.Conv2D]*tensor.IntTensor
+	wcache WeightCache[staticWeights]
+}
+
+// staticWeights is one layer's cached weight codes with one scale per
+// output channel (all equal on the per-tensor path).
+type staticWeights struct {
+	codes  *tensor.IntTensor
+	scales []float32
 }
 
 // StaticOption configures a StaticExec at construction time.
@@ -136,60 +142,48 @@ func WithStaticProfiling() StaticOption {
 	return func(e *StaticExec) { e.EnableProfiling() }
 }
 
-// NewStaticExec builds a static INT-k executor.
+// NewStaticExec builds a static INT-k executor with per-tensor weight
+// scales.
 func NewStaticExec(bits int, opts ...StaticOption) *StaticExec {
 	if bits < 1 || bits > 16 {
 		panic("quant: NewStaticExec bits out of range [1,16]")
 	}
-	e := &StaticExec{bits: bits, wcache: make(map[*nn.Conv2D]*tensor.IntTensor)}
+	e := &StaticExec{bits: bits}
 	for _, o := range opts {
 		o(e)
 	}
 	return e
 }
 
+// NewPerChannelExec builds a static INT-k executor with
+// per-output-channel weight scales (WeightCodesPerChannel).
+func NewPerChannelExec(bits int, opts ...StaticOption) *StaticExec {
+	e := NewStaticExec(bits, opts...)
+	e.perChannel = true
+	return e
+}
+
 // Bits returns the configured bit width.
 func (e *StaticExec) Bits() int { return e.bits }
 
-// weightCodes returns cached integer codes for a layer's weights.
-// Quantization runs outside the lock; the result is stored only if no
-// InvalidateCache intervened, so a concurrent retraining step can never be
-// overwritten by codes computed from the stale weights.
-func (e *StaticExec) weightCodes(layer *nn.Conv2D) *tensor.IntTensor {
-	e.mu.Lock()
-	if q, ok := e.wcache[layer]; ok {
-		e.mu.Unlock()
-		mStaticCacheHits.Inc()
-		return q
+func (e *StaticExec) buildWeights(layer *nn.Conv2D) staticWeights {
+	w := layer.EffectiveWeight()
+	if e.perChannel {
+		codes, scales := WeightCodesPerChannel(w, e.bits)
+		return staticWeights{codes: codes, scales: scales}
 	}
-	mStaticCacheMisses.Inc()
-	gen := e.cacheGen
-	e.mu.Unlock()
-
-	q := WeightCodes(layer.EffectiveWeight(), e.bits)
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cur, ok := e.wcache[layer]; ok {
-		return cur
+	codes := WeightCodes(w, e.bits)
+	scales := make([]float32, codes.Shape[0])
+	for o := range scales {
+		scales[o] = codes.Scale
 	}
-	if e.cacheGen == gen {
-		e.wcache[layer] = q
-	}
-	return q
+	return staticWeights{codes: codes, scales: scales}
 }
 
 // InvalidateCache drops cached weight codes. Call it after every weight
 // mutation (retraining step, fine-tune epoch) BEFORE issuing new Conv
-// calls; in-flight Conv calls started before the invalidation may still
-// return results computed from the old weights, but can no longer poison
-// the cache for later calls.
-func (e *StaticExec) InvalidateCache() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cacheGen++
-	e.wcache = make(map[*nn.Conv2D]*tensor.IntTensor)
-}
+// calls.
+func (e *StaticExec) InvalidateCache() { e.wcache.Invalidate() }
 
 // Static-executor telemetry handles (bound to the registry current at
 // package init; see the telemetry package docs).
@@ -205,12 +199,17 @@ func (e *StaticExec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
 	defer sp.End()
 	mStaticConvs.Inc()
 	qx := ActCodes(x, e.bits)
-	qw := e.weightCodes(layer)
-	g := AccumGeometry(qx, qw, layer.Stride, layer.Pad)
+	w, hit := e.wcache.Get(layer, e.buildWeights)
+	if hit {
+		mStaticCacheHits.Inc()
+	} else {
+		mStaticCacheMisses.Inc()
+	}
+	g := AccumGeometry(qx, w.codes, layer.Stride, layer.Pad)
 	n := x.Shape[0]
 	acc := tensor.GetInt64(n * g.TotalOutputs())
-	ConvAccumInto(acc, qx, qw, layer.Stride, layer.Pad)
-	out := DequantAccum(acc, qx.Scale*qw.Scale, n, g)
+	ConvAccumInto(acc, qx, w.codes, layer.Stride, layer.Pad)
+	out := DequantAccumPerChannel(acc, qx.Scale, w.scales, n, g)
 	tensor.PutInt64(acc)
 	e.Record(&LayerProfile{
 		Name:         layer.Name,

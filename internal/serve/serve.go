@@ -213,11 +213,11 @@ type Server struct {
 	rejected atomic.Int64
 	batches  atomic.Int64
 
-	// Telemetry instruments, bound at New. The latency-decomposition
-	// histograms (hQueueWait/hCollect/hExec/hScatter/hLatencyMS) use
-	// Record, not Observe: /v1/status reports their quantiles whether or
-	// not telemetry collection is enabled. They sit on ms-scale paths
-	// (once per request or per batch), so the always-on cost is noise.
+	// Telemetry instruments, bound at New. Histograms record whether or
+	// not telemetry collection is enabled, so /v1/status reports the
+	// latency-decomposition quantiles (hQueueWait/hCollect/hExec/
+	// hScatter/hLatencyMS) either way. They record once per request or
+	// per batch, on ms-scale paths, so the always-on cost is noise.
 	mRequests  *telemetry.Counter
 	mRejected  *telemetry.Counter
 	mBatches   *telemetry.Counter
@@ -262,7 +262,7 @@ func NewReplicated(sessions []*infer.Session, cfg Config) (*Server, error) {
 	classes := 0
 	replicas := make([]*replica, len(sessions))
 	for i, sess := range sessions {
-		c, err := probeSession(sess, cfg.InputC, cfg.InputH, cfg.InputW)
+		c, err := sess.Warmup(cfg.InputC, cfg.InputH, cfg.InputW)
 		if err != nil {
 			return nil, fmt.Errorf("serve: replica %d: %w", i, err)
 		}
@@ -617,7 +617,7 @@ func (s *Server) reloadAll(r reloadReq) {
 // decomposition /v1/status reports.
 func (s *Server) noteDequeued(p *pending) {
 	p.deq = time.Now()
-	s.hQueueWait.Record(float64(p.deq.Sub(p.enq)) / float64(time.Millisecond))
+	s.hQueueWait.Observe(float64(p.deq.Sub(p.enq)) / float64(time.Millisecond))
 }
 
 // collect gathers up to MaxBatch requests (waiting at most
@@ -627,7 +627,7 @@ func (s *Server) collect(first *pending) (batch []*pending, closed bool) {
 	spCollect := telemetry.StartSpan("serve.collect")
 	start := time.Now()
 	defer func() {
-		s.hCollect.Record(float64(time.Since(start)) / float64(time.Millisecond))
+		s.hCollect.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		spCollect.End()
 	}()
 	batch = append(make([]*pending, 0, s.cfg.MaxBatch), first)
@@ -741,7 +741,7 @@ func (s *Server) supervise(r *replica, it workItem, rec interface{}) {
 	sess, ferr := s.cfg.SessionFactory()
 	if ferr == nil {
 		var classes int
-		classes, ferr = probeSession(sess, s.cfg.InputC, s.cfg.InputH, s.cfg.InputW)
+		classes, ferr = sess.Warmup(s.cfg.InputC, s.cfg.InputH, s.cfg.InputW)
 		if ferr == nil && classes != s.classes {
 			ferr = fmt.Errorf("respawned session has %d classes, pool serves %d", classes, s.classes)
 		}
@@ -757,23 +757,6 @@ func (s *Server) supervise(r *replica, it workItem, rec interface{}) {
 	r.healthy.Store(true)
 	s.updateDegraded()
 	olog.Info("replica respawned", "replica", r.id, "restarts", r.restarts.Load())
-}
-
-// probeSession warms a session up with one batch-1 pass and reports its
-// classifier width; a panic during the probe is an error, not a crash
-// (NewReplicated calls this at warmup, the supervisor on the recovery
-// path).
-func probeSession(sess *infer.Session, c, h, w int) (classes int, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("session probe panicked: %v", rec)
-		}
-	}()
-	probe := sess.Forward(tensor.New(1, c, h, w))
-	if probe.Rank() != 2 {
-		return 0, fmt.Errorf("session probe output rank %d, want 2 (logits)", probe.Rank())
-	}
-	return probe.Shape[1], nil
 }
 
 // execBatch runs one batched pass on r's session and scatters the
@@ -810,7 +793,7 @@ func (s *Server) execBatch(r *replica, batch []*pending) {
 	execStart := time.Now()
 	sess := r.sess.Load()
 	logits := sess.Forward(x)
-	s.hExec.Record(float64(time.Since(execStart)) / float64(time.Millisecond))
+	s.hExec.Observe(float64(time.Since(execStart)) / float64(time.Millisecond))
 	spExec.End()
 
 	// Count the batch before answering it, so a Stats call made after a
@@ -831,7 +814,7 @@ func (s *Server) execBatch(r *replica, batch []*pending) {
 		row := make([]float32, s.classes)
 		copy(row, logits.Data[i*s.classes:(i+1)*s.classes])
 		lat := now.Sub(p.enq)
-		s.hLatencyMS.Record(float64(lat) / float64(time.Millisecond))
+		s.hLatencyMS.Observe(float64(lat) / float64(time.Millisecond))
 		p.answered = true
 		p.resp <- Result{
 			RequestID:  p.id,
@@ -843,7 +826,7 @@ func (s *Server) execBatch(r *replica, batch []*pending) {
 			Latency:    lat,
 		}
 	}
-	s.hScatter.Record(float64(time.Since(scatterStart)) / float64(time.Millisecond))
+	s.hScatter.Observe(float64(time.Since(scatterStart)) / float64(time.Millisecond))
 	spScatter.End()
 
 }

@@ -16,15 +16,6 @@ func BenchmarkCounterAddDisabled(b *testing.B) {
 	}
 }
 
-func BenchmarkHistogramObserveDisabled(b *testing.B) {
-	Disable()
-	h := NewRegistry().Histogram("bench", ExpBuckets(1, 10, 6))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i))
-	}
-}
-
 func BenchmarkSpanDisabled(b *testing.B) {
 	Disable()
 	r := NewRegistry()

@@ -7,12 +7,16 @@
 // The package is dependency-free (standard library only) and designed so
 // that instrumentation can live permanently on hot paths:
 //
-//   - Telemetry is DISABLED by default. Every instrument operation
-//     (Counter.Add, Gauge.Set, Histogram.Observe, StartSpan/End) first
-//     performs one atomic load of the process-wide enable flag and
-//     branches out — a few nanoseconds, no stores, no shared-cache-line
-//     traffic (priced per site by the benchmarks in bench_test.go; the
-//     end-to-end cost of tracing is trace.overhead_pct in bench/).
+//   - Telemetry is DISABLED by default. Counter.Add, Gauge.Set and
+//     StartSpan/End first perform one atomic load of the process-wide
+//     enable flag and branch out — a few nanoseconds, no stores, no
+//     shared-cache-line traffic (priced per site by the benchmarks in
+//     bench_test.go; the end-to-end cost of tracing is
+//     trace.overhead_pct in bench/).
+//   - Histogram.Observe records whether or not telemetry is enabled, so
+//     the serving layer's latency histograms answer /v1/status with
+//     collection off; every hot-path caller sits inside an Enabled()
+//     check.
 //   - When enabled, counters and gauges are single atomic RMW operations
 //     and histograms are one atomic add per observation plus a CAS loop
 //     for the running sum: no locks, no allocations.
@@ -109,28 +113,15 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: cp, counts: make([]atomic.Int64, len(cp)+1)}
 }
 
-// Observe records one observation when telemetry is enabled. Lock-free:
-// one atomic add for the bucket and count, a CAS loop for the sum.
+// Observe records one observation whether or not telemetry is enabled:
+// the serving layer's latency histograms must answer /v1/status with
+// collection off. Lock-free: one atomic add for the bucket and count, a
+// CAS loop for the sum. Hot kernels call it only inside an Enabled()
+// check, so the disabled fast path stays one atomic load.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !enabled.Load() {
-		return
-	}
-	h.observe(v)
-}
-
-// Record observes unconditionally, ignoring the process-wide enable
-// flag. It exists for always-on service statistics — the serving
-// layer's latency-decomposition histograms must answer /v1/status
-// whether or not telemetry collection was switched on — and must stay
-// off nanosecond-scale hot paths (the whole point of the gate).
-func (h *Histogram) Record(v float64) {
 	if h == nil {
 		return
 	}
-	h.observe(v)
-}
-
-func (h *Histogram) observe(v float64) {
 	// Binary search for the first bound >= v (inclusive upper bounds).
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)

@@ -46,10 +46,12 @@ func TestCounterDisabledIsInert(t *testing.T) {
 	if got := g.Value(); got != 0 {
 		t.Fatalf("disabled gauge moved: %v", got)
 	}
+	// Histograms record regardless: /v1/status reads them with
+	// collection off.
 	h := r.Histogram("h", []float64{1, 2})
 	h.Observe(1.5)
-	if h.Count() != 0 {
-		t.Fatalf("disabled histogram moved: %d", h.Count())
+	if h.Count() != 1 {
+		t.Fatalf("disabled histogram count = %d, want 1", h.Count())
 	}
 	if sp := r.StartSpan("s"); sp.ring != nil {
 		t.Fatal("disabled StartSpan returned a live span")
