@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/nn"
@@ -237,39 +238,62 @@ func fuse(pred, hl, lh, ll int64, predScale, sHL, sLH, sLL float32) float32 {
 // Conv implements nn.ConvExecutor: sensitivity prediction over the
 // high-order parts followed by result generation for sensitive outputs.
 func (e *Exec) Conv(x *tensor.Tensor, layer *nn.Conv2D) *tensor.Tensor {
-	qx := quant.ActCodesInto(tensor.GetInt32(len(x.Data)), x, e.bits)
-	out, _ := e.convQ(qx, layer, nil)
-	tensor.PutInt32(qx.Data)
+	out, _ := e.convQ(actInput{shape: x.Shape, x: x}, layer, nil)
 	return out
 }
 
-// convQ is the shared conv body over integer activation codes. With a nil
-// epilogue it returns the raw float partial-sum tensor (bias is NOT
-// applied — nn.Conv2D.Forward adds it, as before). With an epilogue it
-// returns packed INT4 codes of the requantized activation instead, and no
-// float tensor is materialized on the default path. qx stays the
-// caller's; the code splits and the mask live in pooled scratch.
-func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue) (*tensor.Tensor, *tensor.PackedI4) {
+// actInput is a conv's input: float activations to quantize, or packed
+// INT4 codes to unpack. Either way each sample's codes come out on their
+// own, so every sample's task runs its own front end.
+type actInput struct {
+	shape []int            // [N, C, H, W]
+	x     *tensor.Tensor   // float activations, or nil
+	px    *tensor.PackedI4 // packed codes when x is nil
+}
+
+// sampleCodes writes sample s's C·H·W activation codes into dst.
+func (in actInput) sampleCodes(dst []int32, s, bits int) {
+	per := len(dst)
+	if in.x != nil {
+		quant.FillActCodes(dst, in.x.Data[s*per:(s+1)*per], bits)
+		return
+	}
+	in.px.UnpackIntInto(dst, s*per)
+}
+
+// convQ is the shared conv body. With a nil epilogue it returns the raw
+// float partial-sum tensor (bias is NOT applied — nn.Conv2D.Forward adds
+// it, as before). With an epilogue it returns packed INT4 codes of the
+// requantized activation instead, and no float tensor is materialized on
+// the default path. The codes, their splits and the mask live in pooled
+// scratch.
+func (e *Exec) convQ(in actInput, layer *nn.Conv2D, epi *Epilogue) (*tensor.Tensor, *tensor.PackedI4) {
 	spConv := telemetry.StartSpan("odq.conv")
 	defer spConv.End()
 	mODQConvs.Inc()
-	n := qx.Shape[0]
-	xh, xl := quant.SplitCodesRoundedInto(tensor.GetInt32(len(qx.Data)), tensor.GetInt32(len(qx.Data)),
-		qx, e.lowBits(), false)
+	if in.shape[1] != layer.InC {
+		panic(fmt.Sprintf("core: %s expects %d input channels, got %d", layer.Name, layer.InC, in.shape[1]))
+	}
+	n := in.shape[0]
 	wc := e.weights(layer)
 	wh, wl := wc.hi, wc.lo
 
-	g := quant.AccumGeometry(xh, wh, layer.Stride, layer.Pad)
+	g := layer.Geom(in.shape[2], in.shape[3])
 	perSample := g.TotalOutputs()
 	total := n * perSample
-	predScale := xh.Scale * wh.Scale
+	// Activation codes sit on the unsigned grid of step 1/(2^bits − 1);
+	// the high part's step absorbs the 2^lowBits shift, as in
+	// quant.SplitCodesRoundedInto.
+	xlScale := 1 / float32(quant.ActLevels(e.bits))
+	xhScale := xlScale * float32(int32(1)<<uint(e.lowBits()))
+	predScale := xhScale * wh.Scale
 	th := e.threshold
 	if v, ok := e.layerThresholds[layer.Name]; ok {
 		th = v
 	}
-	sHL := xh.Scale * wl.Scale
-	sLH := xl.Scale * wh.Scale
-	sLL := xl.Scale * wl.Scale
+	sHL := xhScale * wl.Scale
+	sLH := xlScale * wh.Scale
+	sLL := xlScale * wl.Scale
 
 	mask := tensor.GetBool(total)
 	var ev *epiEval
@@ -285,9 +309,10 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue) (*te
 
 	var sensitive int64
 	if e.dense {
-		// Reference two-stage path: batched int-GEMM predictor, then
-		// dense result generation, then (optionally) the epilogue as a
-		// post-pass over the float tensor.
+		// Reference two-stage path: batch-wide codes and splits, batched
+		// int-GEMM predictor, then dense result generation, then
+		// (optionally) the epilogue as a post-pass over the float tensor.
+		xh, xl := e.batchSplit(in, g)
 		spPred := telemetry.StartSpan("odq.predictor")
 		predAcc := tensor.GetInt64(total)
 		quant.ConvAccumInto(predAcc, xh, wh, layer.Stride, layer.Pad)
@@ -300,6 +325,8 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue) (*te
 		spExec := telemetry.StartSpan("odq.executor")
 		e.resultDense(out, predAcc, mask, xh, xl, wh, wl, layer, predScale, sHL, sLH, sLL)
 		tensor.PutInt64(predAcc)
+		tensor.PutInt32(xh.Data)
+		tensor.PutInt32(xl.Data)
 		spExec.End()
 		if ev != nil {
 			cols := g.ColCols()
@@ -308,7 +335,7 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue) (*te
 			}
 		}
 	} else {
-		sensitive = e.resultBitplane(out, codes, ev, mask, xh, xl, wc, g, predScale, th, sHL, sLH, sLL)
+		sensitive = e.resultBitplane(out, codes, ev, mask, in, wc, g, predScale, th, sHL, sLH, sLL)
 	}
 	if telemetry.Enabled() {
 		macsPerOut := int64(g.ColRows())
@@ -327,8 +354,6 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue) (*te
 	})
 	tensor.PutBool(mask)
 
-	tensor.PutInt32(xh.Data)
-	tensor.PutInt32(xl.Data)
 	var packed *tensor.PackedI4
 	if epi != nil {
 		packed = tensor.NewPackedI4(n, g.OutC, g.OutH, g.OutW)
@@ -337,6 +362,24 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue) (*te
 	}
 	return out, packed
 }
+
+// batchSplit is the dense reference's batch-wide front end: the whole
+// batch's codes split into high and low tensors over pooled scratch (the
+// high part overwrites the codes in place).
+func (e *Exec) batchSplit(in actInput, g tensor.ConvGeom) (xh, xl *tensor.IntTensor) {
+	n, per := in.shape[0], g.InC*g.InH*g.InW
+	qx := &tensor.IntTensor{Shape: in.shape, Data: tensor.GetInt32(n * per),
+		Scale: 1 / float32(quant.ActLevels(e.bits)), Bits: e.bits}
+	for s := 0; s < n; s++ {
+		in.sampleCodes(qx.Data[s*per:(s+1)*per], s, e.bits)
+	}
+	return quant.SplitCodesRoundedInto(qx.Data, tensor.GetInt32(n*per), qx, e.lowBits(), false)
+}
+
+// exactSumLimit bounds Σ|a| for cutMask's integer cut. Below it,
+// |a|·predScale needs at most 29 + 24 significant bits, so every partial
+// sum the float64 mean loop forms is exact.
+const exactSumLimit = 1 << 29
 
 // maskSample thresholds one sample's predictor accumulators into its
 // sensitivity mask. The threshold is relative to the sample's mean
@@ -347,7 +390,33 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue) (*te
 // mask — and therefore its output — independent of whatever it happens to
 // be batched with, so a dynamically batched serving pass is bit-identical
 // to running each request alone.
+//
+// The cut is defined in float (|float32(a)·predScale| ≥ float32(mean)·th)
+// and decided in integers. While Σ|a| < exactSumLimit the float64 mean
+// equals float64(Σ|a|)·|predScale| exactly, and float32(m)·|predScale| is
+// non-decreasing in the integer magnitude m, so the mask is |a| ≥ lim for
+// the least such m that meets the cut, found by bisection. Larger sums
+// and a non-finite predScale take the float loop.
 func (e *Exec) maskSample(seg []int64, mseg []bool, predScale, th float32) {
+	meanAbs := cutMask(seg, mseg, predScale, th)
+	if e.collectDist {
+		e.sampleDist(seg, predScale, float32(meanAbs))
+	}
+}
+
+// cutMask writes maskSample's mask for seg into mseg and returns the
+// sample's mean |predictor output|.
+func cutMask(seg []int64, mseg []bool, predScale, th float32) float64 {
+	mseg = mseg[:len(seg)]
+	if meanAbs, lim, ok := intCut(seg, predScale, th); ok {
+		for i, a := range seg {
+			if a < 0 {
+				a = -a
+			}
+			mseg[i] = a >= lim
+		}
+		return meanAbs
+	}
 	var meanAbs float64
 	for _, a := range seg {
 		v := float64(a) * float64(predScale)
@@ -367,9 +436,46 @@ func (e *Exec) maskSample(seg []int64, mseg []bool, predScale, th float32) {
 		}
 		mseg[i] = v >= cut
 	}
-	if e.collectDist {
-		e.sampleDist(seg, predScale, float32(meanAbs))
+	return meanAbs
+}
+
+// intCut returns cutMask's mean |predictor output| and the least
+// magnitude lim with float32(lim)·|predScale| ≥ cut (exactSumLimit when
+// none below it qualifies, which a NaN cut never does), or ok = false
+// when Σ|a| ≥ exactSumLimit or predScale is not finite.
+func intCut(seg []int64, predScale, th float32) (meanAbs float64, lim int64, ok bool) {
+	ps := math.Abs(float64(predScale))
+	if math.IsNaN(ps) || math.IsInf(ps, 0) {
+		return 0, 0, false
 	}
+	var sum uint64
+	for _, a := range seg {
+		m := uint64(a)
+		if a < 0 {
+			m = -m
+		}
+		// Saturating each term keeps the sum from wrapping.
+		sum += min(m, exactSumLimit)
+	}
+	if sum >= exactSumLimit {
+		return 0, 0, false
+	}
+	meanAbs = float64(sum) * ps
+	if len(seg) > 0 {
+		meanAbs /= float64(len(seg))
+	}
+	cut := float32(meanAbs) * th
+	abs := float32(ps)
+	lo, hi := int64(0), int64(exactSumLimit)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float32(mid)*abs >= cut {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return meanAbs, lo, true
 }
 
 // bitplaneGEMMCutover is the realized-density point where the executor
@@ -381,20 +487,21 @@ func (e *Exec) maskSample(seg []int64, mseg []bool, predScale, th float32) {
 // the output — it only moves work.
 const bitplaneGEMMCutover = 0.45
 
-// resultBitplane is the sparse execution path: per sample, the high
-// activation codes are bitplane-packed straight from the [C,H,W] codes
-// (tensor.PackConvRows: one C-bit chunk per input pixel, rows assembled
-// by shift/OR; no im2col matrix is ever materialized), the sensitivity
-// predictor runs as AND+POPCNT row products (tensor.BitplaneMulRow), and
-// the executor computes the three remaining partials only as directed by
-// the realized mask — fused per-output bitplane dots
-// (tensor.BitplaneDot3) at low density, wide int-GEMM partials (weight
-// codes × im2col, the same orientation the dense path uses) above
-// bitplaneGEMMCutover. Exact integer arithmetic end to end keeps it
-// bit-identical to the dense reference; the shared fuse() keeps the float
-// combination identical. Writes requantized codes directly when ev is
-// non-nil (fused epilogue), float partial sums into out otherwise.
-// Returns the sensitive count.
+// resultBitplane is the sparse execution path: per sample, the task
+// quantizes (or unpacks) and splits its own activations, the high codes
+// are bitplane-packed straight from the [C,H,W] codes
+// (tensor.PackConvRows: one bitstream per input row and plane, rows
+// built from K bit-fields; no im2col matrix is ever materialized), the
+// sensitivity predictor runs as AND+POPCNT row products
+// (tensor.BitplaneMulRow), and the executor computes the three remaining
+// partials only as directed by the realized mask — fused per-output
+// bitplane dots (tensor.BitplaneDot3) at low density, wide int-GEMM
+// partials (weight codes × im2col, the same orientation the dense path
+// uses) above bitplaneGEMMCutover. Exact integer arithmetic end to end
+// keeps it bit-identical to the dense reference; the shared fuse() keeps
+// the float combination identical. Writes requantized codes directly
+// when ev is non-nil (fused epilogue), float partial sums into out
+// otherwise. Returns the sensitive count.
 //
 // A batch with at least as many samples as the shared pool has workers
 // runs one pool task per sample, each with its own scratch and serial
@@ -402,9 +509,10 @@ const bitplaneGEMMCutover = 0.45
 // one out over output channels. Either way e.workers caps the fan-out,
 // and every output is written by exactly one task.
 func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, mask []bool,
-	xh, xl *tensor.IntTensor, wc *weightCodes, g tensor.ConvGeom,
+	in actInput, wc *weightCodes, g tensor.ConvGeom,
 	predScale, th, sHL, sLH, sLL float32) int64 {
-	n := xh.Shape[0]
+	n := in.shape[0]
+	lowBits := e.lowBits()
 	rows, cols := g.ColRows(), g.ColCols()
 	perSample := g.TotalOutputs()
 	per := g.InC * g.InH * g.InW
@@ -416,10 +524,13 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 	// inner workers and returns its sensitive count.
 	sample := func(s, inner int) int64 {
 		spPred := telemetry.StartSpan("odq.predictor")
+		xh, xl := tensor.GetInt32(per), tensor.GetInt32(per)
+		in.sampleCodes(xh, s, e.bits)
+		quant.SplitRoundedCodes(xh, xl, xh, e.bits, lowBits, false)
 		predAcc := tensor.GetInt64(perSample)
-		xhBP := &tensor.Bitplanes{R: cols, L: rows, P: xh.Bits, W: tensor.BitplaneWords(rows),
-			Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, xh.Bits))}
-		tensor.PackConvRows(xh.Data[s*per:(s+1)*per], g, xhBP)
+		xhBP := &tensor.Bitplanes{R: cols, L: rows, P: e.predBits, W: tensor.BitplaneWords(rows),
+			Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, e.predBits))}
+		tensor.PackConvRows(xh, g, xhBP)
 		pool.ParallelLimited(inner, outC, func(oc int) {
 			tensor.BitplaneMulRow(predAcc[oc*cols:(oc+1)*cols], whBP, oc, xhBP)
 		})
@@ -435,9 +546,9 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 			lhAcc := tensor.GetInt64(perSample)
 			llAcc := tensor.GetInt64(perSample)
 			colBuf := tensor.GetInt32(rows * cols)
-			tensor.Im2colInt(xh.Data[s*per:(s+1)*per], g, colBuf)
+			tensor.Im2colInt(xh, g, colBuf)
 			tensor.GemmInt(wc.lo.Data, colBuf, hlAcc, outC, rows, cols)
-			tensor.Im2colInt(xl.Data[s*per:(s+1)*per], g, colBuf)
+			tensor.Im2colInt(xl, g, colBuf)
 			tensor.GemmInt(wc.hi.Data, colBuf, lhAcc, outC, rows, cols)
 			tensor.GemmInt(wc.lo.Data, colBuf, llAcc, outC, rows, cols)
 			pool.ParallelLimited(inner, outC, func(oc int) {
@@ -458,9 +569,9 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 			tensor.PutInt64(lhAcc)
 			tensor.PutInt64(llAcc)
 		} else {
-			xlBP := &tensor.Bitplanes{R: cols, L: rows, P: xl.Bits, W: tensor.BitplaneWords(rows), Signed: true,
-				Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, xl.Bits))}
-			tensor.PackConvRows(xl.Data[s*per:(s+1)*per], g, xlBP)
+			xlBP := &tensor.Bitplanes{R: cols, L: rows, P: lowBits + 1, W: tensor.BitplaneWords(rows), Signed: true,
+				Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, lowBits+1))}
+			tensor.PackConvRows(xl, g, xlBP)
 			pool.ParallelLimited(inner, outC, func(oc int) {
 				base := oc * cols
 				for j := 0; j < cols; j++ {
@@ -482,6 +593,8 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 		spExec.End()
 		tensor.PutInt64(predAcc)
 		tensor.PutUint64(xhBP.Data)
+		tensor.PutInt32(xh)
+		tensor.PutInt32(xl)
 		return sens
 	}
 

@@ -76,11 +76,7 @@ func (e *Exec) ConvPacked(px *tensor.PackedI4, layer *nn.Conv2D, epi *Epilogue) 
 	if epi == nil {
 		panic("core: ConvPacked requires an epilogue")
 	}
-	qx := &tensor.IntTensor{Shape: px.Shape, Data: tensor.GetInt32(px.Len()),
-		Scale: 1 / float32(quant.ActLevels(e.bits)), Bits: 4}
-	px.UnpackIntInto(qx.Data)
-	_, out := e.convQ(qx, layer, epi)
-	tensor.PutInt32(qx.Data)
+	_, out := e.convQ(actInput{shape: px.Shape, px: px}, layer, epi)
 	return out
 }
 
@@ -92,8 +88,6 @@ func (e *Exec) ConvFused(x *tensor.Tensor, layer *nn.Conv2D, epi *Epilogue) *ten
 	if epi == nil {
 		panic("core: ConvFused requires an epilogue")
 	}
-	qx := quant.ActCodesInto(tensor.GetInt32(len(x.Data)), x, e.bits)
-	_, out := e.convQ(qx, layer, epi)
-	tensor.PutInt32(qx.Data)
+	_, out := e.convQ(actInput{shape: x.Shape, x: x}, layer, epi)
 	return out
 }

@@ -97,17 +97,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: %s expects %d input channels, got %d", c.Name, c.InC, x.Shape[1]))
 	}
-	qx := x
-	if c.ActQuant != nil && !c.DisableActQuant && !c.QuantRelaxed {
-		qx = c.ActQuant.Forward(x)
-	}
-	qw := c.EffectiveWeight()
-
 	if c.Exec != nil && !train {
 		out := c.Exec.Conv(x, c)
 		c.addBias(out)
 		return out
 	}
+	qx := x
+	if c.ActQuant != nil && !c.DisableActQuant && !c.QuantRelaxed {
+		qx = c.ActQuant.Forward(x)
+	}
+	qw := c.EffectiveWeight()
 
 	n := x.Shape[0]
 	g := c.Geom(x.Shape[2], x.Shape[3])

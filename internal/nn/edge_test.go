@@ -190,6 +190,44 @@ func (coarseQuant) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 func (coarseQuant) Backward(grad, _ *tensor.Tensor) *tensor.Tensor { return grad.Clone() }
 
+// countingQuant is an identity FakeQuant that counts Forward calls.
+type countingQuant struct{ calls int }
+
+func (q *countingQuant) Forward(x *tensor.Tensor) *tensor.Tensor {
+	q.calls++
+	return x
+}
+
+func (q *countingQuant) Backward(grad, _ *tensor.Tensor) *tensor.Tensor { return grad }
+
+// TestExecForwardSkipsFakeQuant checks that an eval forward through an
+// installed executor fake-quantizes nothing (the executor quantizes for
+// itself), while the float and training paths quantize the weights and
+// the activations once per forward.
+func TestExecForwardSkipsFakeQuant(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	c := NewConv2D("c", 2, 3, 3, 1, 1, false, rng)
+	wq, aq := &countingQuant{}, &countingQuant{}
+	c.WeightQuant, c.ActQuant = wq, aq
+	x := tensor.New(1, 2, 5, 5)
+	rng.FillNormal(x, 0, 1)
+	check := func(what string, want int) {
+		t.Helper()
+		if wq.calls != want || aq.calls != want {
+			t.Fatalf("%s: %d weight and %d activation fake-quant calls, want %d each", what, wq.calls, aq.calls, want)
+		}
+		wq.calls, aq.calls = 0, 0
+	}
+
+	c.Forward(x, false)
+	check("float eval forward", 1)
+	c.Exec = fixedExec{v: 1}
+	c.Forward(x, false)
+	check("executor eval forward", 0)
+	c.Forward(x, true)
+	check("training forward with an executor installed", 1)
+}
+
 func TestResidualShapeMismatchPanics(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	// Body halves the spatial size but there is no matching shortcut.

@@ -212,25 +212,25 @@ func (q *QuantReLU) Visit(f func(nn.Module)) { f(q) }
 // ActCodes quantizes a float activation tensor to unsigned k-bit integer
 // codes (clamping to [0,1] first, per the DoReFa convention).
 func ActCodes(x *tensor.Tensor, bits int) *tensor.IntTensor {
-	return ActCodesInto(make([]int32, len(x.Data)), x, bits)
+	out := tensor.NewInt(bits, 1/float32(ActLevels(bits)), x.Shape...)
+	FillActCodes(out.Data, x.Data, bits)
+	return out
 }
 
-// ActCodesInto is ActCodes writing the codes into dst (len >= x's
-// element count, typically pooled scratch); the returned tensor's Data
-// aliases dst.
-func ActCodesInto(dst []int32, x *tensor.Tensor, bits int) *tensor.IntTensor {
-	levels := ActLevels(bits)
-	out := intOver(dst, bits, 1/float32(levels), x.Shape)
-	fl := float64(levels)
-	for i, v := range x.Data {
+// FillActCodes is ActCodes' loop over plain slices: dst[i] is the k-bit
+// code of src[i] (len(dst) >= len(src)). The ODQ executor calls it on one
+// sample's activations inside that sample's task.
+func FillActCodes(dst []int32, src []float32, bits int) {
+	fl := float64(ActLevels(bits))
+	dst = dst[:len(src)]
+	for i, v := range src {
 		if v < 0 {
 			v = 0
 		} else if v > 1 {
 			v = 1
 		}
-		out.Data[i] = int32(math.Round(float64(v) * fl))
+		dst[i] = int32(math.Round(float64(v) * fl))
 	}
-	return out
 }
 
 // intOver returns an IntTensor header over the first NumElems(shape)
@@ -329,8 +329,20 @@ func SplitCodesRounded(t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *t
 // parts into hiDst and loDst (each len >= t.Len(), typically pooled
 // scratch); the returned tensors' Data alias them.
 func SplitCodesRoundedInto(hiDst, loDst []int32, t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *tensor.IntTensor) {
+	hi = intOver(hiDst, t.Bits-lowBits, t.Scale*float32(int32(1)<<uint(lowBits)), t.Shape)
+	lo = intOver(loDst, lowBits+1, t.Scale, t.Shape)
+	SplitRoundedCodes(hi.Data, lo.Data, t.Data, t.Bits, lowBits, signed)
+	return hi, lo
+}
+
+// SplitRoundedCodes is SplitCodesRoundedInto's loop over plain slices:
+// it splits bits-wide codes into hi (bits−lowBits wide) and lo
+// (lowBits+1 wide, signed). hi may alias codes, since each code is read
+// before its high part is written. The ODQ executor calls it on one
+// sample's codes inside that sample's task.
+func SplitRoundedCodes(hi, lo, codes []int32, bits, lowBits int, signed bool) {
 	n := uint(lowBits)
-	hiBits := t.Bits - lowBits
+	hiBits := bits - lowBits
 	var hiMin, hiMax int32
 	if signed {
 		hiMin = -(int32(1) << uint(hiBits-1))
@@ -341,9 +353,8 @@ func SplitCodesRoundedInto(hiDst, loDst []int32, t *tensor.IntTensor, lowBits in
 	}
 	half := int32(1) << (n - 1)
 	step := int32(1) << n
-	hi = intOver(hiDst, hiBits, t.Scale*float32(step), t.Shape)
-	lo = intOver(loDst, lowBits+1, t.Scale, t.Shape)
-	for i, c := range t.Data {
+	hi, lo = hi[:len(codes)], lo[:len(codes)]
+	for i, c := range codes {
 		var h int32
 		if c >= 0 {
 			h = (c + half) / step
@@ -355,10 +366,9 @@ func SplitCodesRoundedInto(hiDst, loDst []int32, t *tensor.IntTensor, lowBits in
 		} else if h > hiMax {
 			h = hiMax
 		}
-		hi.Data[i] = h
-		lo.Data[i] = c - h*step
+		hi[i] = h
+		lo[i] = c - h*step
 	}
-	return hi, lo
 }
 
 // ConvAccum runs an integer convolution of quantized activations

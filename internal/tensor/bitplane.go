@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -101,93 +102,127 @@ func (bp *Bitplanes) PackConvWeights(src []int32, inC, k int) {
 
 // PackConvRows is the bitplane im2col: it packs one sample's activation
 // codes src (layout [C,H,W]) into dst, one row per output position
-// (dst.R = g.ColCols()) of g.ColRows() lanes in (kh, kw, c) order. Each
-// input pixel's C channel codes are packed once per plane into a C-bit
-// chunk of ⌈C/64⌉ words — O(C·H·W) bit work — and each row is then
-// assembled from its K·K chunks by shift/OR into zeroed words, a chunk
-// that straddles a word boundary spilling into the next word. Padding
-// pixels contribute nothing. dst.P and dst.Signed give the code range as
-// for PackRow; dst may hold dirty pooled scratch.
+// (dst.R = g.ColCols()) of g.ColRows() lanes in (kh, kw, c) order, in two
+// passes.
+//
+// The first pass turns each input row into one bitstream per plane over
+// the padded row: lane iw·C + c of (InW + 2·Pad)·C holds channel c of
+// padded column iw, pad lanes zero. The row's codes are written as
+// lane-ordered bytes and each plane's bits gathered eight lanes per
+// multiply (gatherPlane); codes wider than eight planes take one byte
+// pass per eight planes.
+//
+// The second pass builds each output row from K bit-fields, one per
+// kernel row kh: the K·C lanes of taps (kh, 0..K-1, 0..C-1) sit
+// contiguously in input row ih's stream from lane ow·Stride·C, and land
+// at lane kh·K·C of the row. Kernel rows outside the input contribute
+// nothing. dst.P and dst.Signed give the code range as for PackRow; dst
+// may hold dirty pooled scratch.
 func PackConvRows(src []int32, g ConvGeom, dst *Bitplanes) {
 	if dst.R != g.ColCols() || dst.L != g.ColRows() || len(src) < g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: PackConvRows dst %dx%d, want %dx%d", dst.R, dst.L, g.ColCols(), g.ColRows()))
 	}
-	planes, w := dst.P, dst.W
-	cw := BitplaneWords(g.InC)
-	pixStride := planes * cw
-	chunks := GetUint64(g.InH * g.InW * pixStride)
-	packPixelChunks(chunks, src, g.InC, g.InH*g.InW, planes, cw)
-
-	rowLen := planes * w
-	pos := 0
-	for oh := 0; oh < g.OutH; oh++ {
-		ihBase := oh*g.Stride - g.Pad
-		for ow := 0; ow < g.OutW; ow++ {
-			iwBase := ow*g.Stride - g.Pad
-			row := dst.Data[pos*rowLen : (pos+1)*rowLen]
-			clear(row)
-			for kh := 0; kh < g.K; kh++ {
-				ih := ihBase + kh
-				if ih < 0 || ih >= g.InH {
-					continue
-				}
-				for kw := 0; kw < g.K; kw++ {
-					iw := iwBase + kw
-					if iw < 0 || iw >= g.InW {
-						continue
-					}
-					lane := (kh*g.K + kw) * g.InC
-					wi, sh := lane>>6, uint(lane&63)
-					pix := (ih*g.InW + iw) * pixStride
-					// A shift of 64 yields 0, so an aligned chunk never
-					// spills; a nonzero spill always has a next word in
-					// its plane to land in.
-					if cw == 1 {
-						// Single-word chunks (C ≤ 64), the common case,
-						// without the per-plane word loop.
-						for p, v := range chunks[pix : pix+planes] {
-							o := p*w + wi
-							row[o] |= v << sh
-							if hi := v >> (64 - sh); hi != 0 {
-								row[o+1] |= hi
-							}
-						}
-						continue
-					}
-					for p := 0; p < planes; p++ {
-						prow := row[p*w : (p+1)*w]
-						for k, v := range chunks[pix+p*cw : pix+(p+1)*cw] {
-							prow[wi+k] |= v << sh
-							if hi := v >> (64 - sh); hi != 0 {
-								prow[wi+k+1] |= hi
-							}
-						}
-					}
+	planes, c := dst.P, g.InC
+	// sw words per (row, plane) stream: the padded lanes plus one zero
+	// word, so a field's two-word read never runs off the end.
+	sw := BitplaneWords((g.InW+2*g.Pad)*c) + 1
+	streams := GetUint64(g.InH * planes * sw)
+	bytes := GetUint8((sw - 1) * 64)
+	clear(bytes)
+	hw := g.InH * g.InW
+	for ih := 0; ih < g.InH; ih++ {
+		for p0 := 0; p0 < planes; p0 += 8 {
+			for ch := 0; ch < c; ch++ {
+				lane := g.Pad*c + ch
+				for _, code := range src[ch*hw+ih*g.InW : ch*hw+(ih+1)*g.InW] {
+					bytes[lane] = uint8(code >> uint(p0))
+					lane += c
 				}
 			}
-			pos++
+			for p := p0; p < planes && p < p0+8; p++ {
+				st := streams[(ih*planes+p)*sw : (ih*planes+p+1)*sw]
+				for wi := range st[:sw-1] {
+					st[wi] = gatherPlane(bytes[wi*64:wi*64+64], uint(p-p0))
+				}
+				st[sw-1] = 0
+			}
 		}
 	}
-	PutUint64(chunks)
-}
+	PutUint8(bytes)
 
-// packPixelChunks writes, for every pixel i of a [c, hw] code plane set,
-// its c channel codes as `planes` bitplane chunks of cw words each at
-// dst[(i*planes+p)*cw:], channel ch on bit ch&63 of word ch>>6.
-func packPixelChunks(dst []uint64, src []int32, c, hw, planes, cw int) {
-	clear(dst)
-	mask := uint32(1)<<uint(planes) - 1
-	stride := planes * cw
-	for ch := 0; ch < c; ch++ {
-		word, bit := ch>>6, uint(ch&63)
-		for i, code := range src[ch*hw : (ch+1)*hw] {
-			u := uint64(uint32(code) & mask)
-			if u == 0 {
+	kc, step, w := g.K*c, g.Stride*c, dst.W
+	rowLen := planes * w
+	for oh := 0; oh < g.OutH; oh++ {
+		rows := dst.Data[oh*g.OutW*rowLen : (oh+1)*g.OutW*rowLen]
+		clear(rows)
+		for kh := 0; kh < g.K; kh++ {
+			ih := oh*g.Stride - g.Pad + kh
+			if ih < 0 || ih >= g.InH {
 				continue
 			}
-			d := dst[i*stride+word:]
 			for p := 0; p < planes; p++ {
-				d[p*cw] |= (u >> uint(p) & 1) << bit
+				st := streams[(ih*planes+p)*sw : (ih*planes+p+1)*sw]
+				orFields(rows[p*w:], g.OutW, rowLen, st, step, kh*kc, kc)
+			}
+		}
+	}
+	PutUint64(streams)
+}
+
+// gatherPlane returns bit p of each of the 64 bytes of b, byte i on bit i.
+// Masking one bit per byte and multiplying by 0x0102040810204080 moves
+// byte i's bit to bit 56+i with no two partial products overlapping, so
+// eight lanes gather in one multiply.
+func gatherPlane(b []uint8, p uint) uint64 {
+	const lsb, spread = 0x0101010101010101, 0x0102040810204080
+	b = b[:64]
+	var word uint64
+	for k := 0; k < 8; k++ {
+		x := binary.LittleEndian.Uint64(b[8*k:])
+		word |= (x >> p & lsb) * spread >> 56 << uint(8*k)
+	}
+	return word
+}
+
+// orFields ORs one kc-lane field into each of n output rows (one plane's
+// words of each row, rowLen words apart): row j takes stream lanes
+// [j·step, j·step+kc) of st to lanes [at, at+kc). A field of at most 64
+// lanes is one funnel shift of two stream words, and whether it spills
+// into a second row word depends on at alone; wider fields copy 64 lanes
+// at a time. A shift of 64 yields 0, so an aligned field never spills,
+// and a nonzero spill always has a next word to land in.
+func orFields(rows []uint64, n, rowLen int, st []uint64, step, at, kc int) {
+	if kc <= 64 {
+		mask := ^uint64(0) >> uint(64-kc)
+		di, dsh := at>>6, uint(at&63)
+		spill := int(dsh)+kc > 64
+		for j, off := 0, 0; j < n; j, off = j+1, off+step {
+			sh := uint(off & 63)
+			s := st[off>>6 : off>>6+2]
+			// (63-sh)&63 then 1 is a shift by 64-sh the compiler need
+			// not guard against reaching 64.
+			f := (s[0]>>sh | s[1]<<((63-sh)&63)<<1) & mask
+			d := rows[j*rowLen+di:]
+			d[0] |= f << dsh
+			if spill {
+				d[1] |= f >> ((64 - dsh) & 63)
+			}
+		}
+		return
+	}
+	for j, off := 0, 0; j < n; j, off = j+1, off+step {
+		row := rows[j*rowLen:]
+		for done := 0; done < kc; done += 64 {
+			src, dl := off+done, at+done
+			wi, sh := src>>6, uint(src&63)
+			f := st[wi]>>sh | st[wi+1]<<(64-sh)
+			if kc-done < 64 {
+				f &= ^uint64(0) >> uint(64-(kc-done))
+			}
+			di, dsh := dl>>6, uint(dl&63)
+			row[di] |= f << dsh
+			if hi := f >> (64 - dsh); hi != 0 {
+				row[di+1] |= hi
 			}
 		}
 	}

@@ -211,19 +211,21 @@ func TestBitplaneDot3Parity(t *testing.T) {
 	}
 }
 
-// TestPackConvRowsParity checks the chunked conv packer end to end: rows
-// from PackConvRows against weight rows from PackConvWeights, both in
+// TestPackConvRowsParity checks the conv packer end to end: rows from
+// PackConvRows against weight rows from PackConvWeights, both in
 // (kh, kw, c) lane order, must give the scalar dot of the (c, kh, kw)
 // im2col row with the unpermuted weight row — through BitplaneMulRow and
-// BitplaneDot3 — for chunks that fill, straddle and span words, every
-// kernel size the models use, stride 2 and padding 0–2.
+// BitplaneDot3 — for kernel-row fields that fill, straddle and span
+// words, every kernel size the models use, stride 2, padding 0–2, and
+// codes of one byte pass and of two.
 func TestPackConvRowsParity(t *testing.T) {
 	rng := NewRNG(17)
 	type side struct {
 		planes int
 		signed bool
 	}
-	sides := []side{{2, false}, {2, true}, {3, false}, {3, true}, {5, false}, {5, true}}
+	sides := []side{{2, false}, {2, true}, {3, false}, {3, true}, {5, false}, {5, true},
+		{9, false}, {9, true}, {15, false}, {15, true}}
 	for _, inC := range []int{1, 3, 21, 64, 65, 130} {
 		for _, k := range []int{1, 3, 5} {
 			for pad := 0; pad <= 2; pad++ {
@@ -295,6 +297,70 @@ func TestPackConvRowsParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPackConvRows checks PackConvRows over drawn geometries: C 1–130,
+// K 1–5, stride 1–3, pad 0–2, H and W 1–32 (at most 12 once C·H·W
+// passes 2^14, to keep each input cheap), 1–15 planes and either
+// signedness. Rows packed over poisoned scratch, times weight rows of the
+// same plane count through BitplaneMulRow, must equal the scalar dots of
+// the im2colIntT oracle.
+func FuzzPackConvRows(f *testing.F) {
+	// Arguments are (seed, C-1, K-1, stride-1, pad, H-1, W-1, planes-1,
+	// signed).
+	for _, s := range []struct {
+		c, k, stride, pad, hw, planes uint8
+		signed                        bool
+	}{
+		{7, 2, 0, 1, 31, 1, false},  // ResNet-20 stage 1 (C 8), high codes
+		{7, 2, 0, 1, 31, 2, true},   // and low codes
+		{15, 2, 1, 1, 15, 1, false}, // stage 2 (C 16), stride 2
+		{15, 0, 1, 0, 15, 2, true},  // stage-2 shortcut, K 1
+		{31, 2, 0, 1, 7, 1, false},  // stage 3 (C 32): 96-lane fields
+		{31, 0, 1, 0, 7, 2, true},   // stage-3 shortcut, K 1
+		{5, 4, 0, 0, 11, 3, false},  // LeNet conv2 (C 6, K 5)
+		{2, 2, 0, 1, 9, 8, false},   // 9 planes: two byte passes
+		{20, 2, 2, 2, 8, 14, true},  // 15 planes, stride 3
+		{64, 0, 0, 0, 5, 1, false},  // 65-lane fields
+		{129, 4, 1, 2, 6, 4, true},  // 650-lane fields, pad 2
+		{63, 1, 2, 0, 4, 0, false},  // 1 plane, 128-lane fields
+	} {
+		f.Add(int64(s.c)*7+int64(s.planes), s.c, s.k, s.stride, s.pad, s.hw, s.hw, s.planes, s.signed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, c, k, stride, pad, h, w, planes uint8, signed bool) {
+		inC, kk := 1+int(c)%130, 1+int(k)%5
+		st, pd := 1+int(stride)%3, int(pad)%3
+		ih, iw := 1+int(h)%32, 1+int(w)%32
+		ih, iw = max(ih, kk-2*pd), max(iw, kk-2*pd)
+		if inC*ih*iw > 1<<14 {
+			ih, iw = min(ih, 12), min(iw, 12)
+			ih, iw = max(ih, kk-2*pd), max(iw, kk-2*pd)
+		}
+		pl := 1 + int(planes)%15
+		const outC = 3
+		g := Geometry(inC, ih, iw, outC, kk, st, pd)
+		rows, cols := g.ColRows(), g.ColCols()
+		rng := NewRNG(seed)
+		x := randCodes(rng, inC*ih*iw, pl, signed)
+		wc := randCodes(rng, outC*rows, pl, true)
+		xT := make([]int32, rows*cols)
+		im2colIntT(x, g, xT)
+		xbp := poisonedBitplanes(cols, rows, pl, signed)
+		PackConvRows(x, g, xbp)
+		wbp := NewBitplanes(outC, rows, pl, true)
+		wbp.PackConvWeights(wc, inC, kk)
+		dst := make([]int64, cols)
+		for oc := 0; oc < outC; oc++ {
+			BitplaneMulRow(dst, wbp, oc, xbp)
+			for j := 0; j < cols; j++ {
+				if want := scalarDot(wc[oc*rows:(oc+1)*rows], xT[j*rows:(j+1)*rows]); dst[j] != want {
+					t.Fatalf("C=%d K=%d s=%d pad=%d %dx%d planes=%d signed=%v oc=%d j=%d: got %d want %d",
+						inC, kk, st, pd, ih, iw, pl, signed, oc, j, dst[j], want)
+				}
+			}
+		}
+		PutUint64(xbp.Data)
+	})
 }
 
 // poisonedBitplanes returns a Bitplanes over pooled scratch filled with

@@ -64,20 +64,27 @@ func PackI4Into(codes []uint8, dst []uint8) {
 // scale (the executors pass the activation grid step, 1/15).
 func (p *PackedI4) UnpackInt(scale float32) *IntTensor {
 	out := NewInt(4, scale, p.Shape...)
-	unpackNibbles(p.Data, out.Data)
+	unpackNibbles(p.Data, 0, out.Data)
 	return out
 }
 
-// UnpackIntInto is UnpackInt writing codes into caller-provided (pooled)
-// scratch of at least Len() elements.
-func (p *PackedI4) UnpackIntInto(dst []int32) {
-	if len(dst) < p.Len() {
-		panic("tensor: UnpackIntInto dst too small")
+// UnpackIntInto writes codes first .. first+len(dst)-1 into dst
+// (caller-provided, typically pooled scratch). An odd first starts in a
+// high nibble, so each sample of a packed batch unpacks on its own.
+func (p *PackedI4) UnpackIntInto(dst []int32, first int) {
+	if first < 0 || first+len(dst) > p.Len() {
+		panic(fmt.Sprintf("tensor: UnpackIntInto codes [%d, %d) of %d", first, first+len(dst), p.Len()))
 	}
-	unpackNibbles(p.Data, dst[:p.Len()])
+	unpackNibbles(p.Data, first, dst)
 }
 
-func unpackNibbles(src []uint8, dst []int32) {
+func unpackNibbles(src []uint8, first int, dst []int32) {
+	if first&1 == 1 && len(dst) > 0 {
+		dst[0] = int32(src[first>>1] >> 4)
+		dst = dst[1:]
+		first++
+	}
+	src = src[first>>1:]
 	n := len(dst)
 	for i := 0; i+1 < n; i += 2 {
 		b := src[i>>1]

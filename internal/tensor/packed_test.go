@@ -6,7 +6,8 @@ import (
 )
 
 // TestPackedI4RoundTrip checks pack/At/unpack round-trips for even and
-// odd element counts (tail nibble).
+// odd element counts (tail nibble), and UnpackIntInto over every range,
+// including ranges that start in a high nibble.
 func TestPackedI4RoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 16, 25} {
 		codes := make([]uint8, n)
@@ -26,6 +27,17 @@ func TestPackedI4RoundTrip(t *testing.T) {
 		for i := range codes {
 			if it.Data[i] != int32(codes[i]) {
 				t.Fatalf("n=%d: UnpackInt[%d]=%d want %d", n, i, it.Data[i], codes[i])
+			}
+		}
+		for first := 0; first <= n; first++ {
+			for end := first; end <= n; end++ {
+				dst := make([]int32, end-first)
+				p.UnpackIntInto(dst, first)
+				for i, c := range dst {
+					if c != int32(codes[first+i]) {
+						t.Fatalf("n=%d: UnpackIntInto [%d,%d) element %d = %d want %d", n, first, end, i, c, codes[first+i])
+					}
+				}
 			}
 		}
 	}

@@ -124,24 +124,36 @@ func (p *Pool) ParallelLimited(limit, n int, fn func(i int)) {
 //
 // The quantized conv hot path needs scratch of several element types:
 // int32 codes and im2col matrices, int64 accumulators, float32 im2col
-// matrices, bitplane words, output codes and sensitivity masks. Pooling
-// them takes steady-state inference to near-zero allocation. Buffers come
-// back DIRTY: callers must fully overwrite (im2col and GemmInt do).
+// matrices, bitplane words, activation bytes, output codes and
+// sensitivity masks. Pooling them takes steady-state inference to
+// near-zero allocation. Buffers come back DIRTY: callers must fully
+// overwrite (im2col and GemmInt do).
+
+// scratchPool recycles buffers of one element type. sync.Pool holds
+// interface values, so a buffer travels inside a *[]T; the emptied
+// wrappers go round a second pool, so neither Get nor Put allocates in
+// steady state.
+type scratchPool[T any] struct {
+	bufs, wrappers sync.Pool
+}
 
 var (
-	i32Pool  = sync.Pool{}
-	i64Pool  = sync.Pool{}
-	f32Pool  = sync.Pool{}
-	u64Pool  = sync.Pool{}
-	u8Pool   = sync.Pool{}
-	boolPool = sync.Pool{}
+	i32Pool  scratchPool[int32]
+	i64Pool  scratchPool[int64]
+	f32Pool  scratchPool[float32]
+	u64Pool  scratchPool[uint64]
+	u8Pool   scratchPool[uint8]
+	boolPool scratchPool[bool]
 )
 
-// getScratch returns a length-n buffer from p with arbitrary contents,
-// allocating when the pooled buffer is missing or too small.
-func getScratch[T any](p *sync.Pool, n int) []T {
-	if v := p.Get(); v != nil {
-		s := *(v.(*[]T))
+// get returns a length-n buffer with arbitrary contents, allocating when
+// the pooled buffer is missing or too small.
+func (p *scratchPool[T]) get(n int) []T {
+	if v := p.bufs.Get(); v != nil {
+		w := v.(*[]T)
+		s := *w
+		*w = nil
+		p.wrappers.Put(w)
 		if cap(s) >= n {
 			mScratchHits.Inc()
 			return s[:n]
@@ -151,51 +163,56 @@ func getScratch[T any](p *sync.Pool, n int) []T {
 	return make([]T, n)
 }
 
-// putScratch recycles a buffer obtained from getScratch on the same pool.
-func putScratch[T any](p *sync.Pool, s []T) {
+// put recycles a buffer obtained from get on the same pool.
+func (p *scratchPool[T]) put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:cap(s)]
-	p.Put(&s)
+	w, _ := p.wrappers.Get().(*[]T)
+	if w == nil {
+		w = new([]T)
+	}
+	*w = s[:cap(s)]
+	p.bufs.Put(w)
 }
 
 // GetInt32 returns a length-n int32 scratch buffer with arbitrary contents.
-func GetInt32(n int) []int32 { return getScratch[int32](&i32Pool, n) }
+func GetInt32(n int) []int32 { return i32Pool.get(n) }
 
 // PutInt32 recycles a buffer obtained from GetInt32.
-func PutInt32(s []int32) { putScratch(&i32Pool, s) }
+func PutInt32(s []int32) { i32Pool.put(s) }
 
 // GetInt64 returns a length-n int64 scratch buffer with arbitrary contents.
-func GetInt64(n int) []int64 { return getScratch[int64](&i64Pool, n) }
+func GetInt64(n int) []int64 { return i64Pool.get(n) }
 
 // PutInt64 recycles a buffer obtained from GetInt64.
-func PutInt64(s []int64) { putScratch(&i64Pool, s) }
+func PutInt64(s []int64) { i64Pool.put(s) }
 
 // GetFloat32 returns a length-n float32 scratch buffer with arbitrary
 // contents.
-func GetFloat32(n int) []float32 { return getScratch[float32](&f32Pool, n) }
+func GetFloat32(n int) []float32 { return f32Pool.get(n) }
 
 // PutFloat32 recycles a buffer obtained from GetFloat32.
-func PutFloat32(s []float32) { putScratch(&f32Pool, s) }
+func PutFloat32(s []float32) { f32Pool.put(s) }
 
 // GetUint64 returns a length-n uint64 scratch buffer with arbitrary
 // contents (bitplane word storage; the bitplane packers fully overwrite).
-func GetUint64(n int) []uint64 { return getScratch[uint64](&u64Pool, n) }
+func GetUint64(n int) []uint64 { return u64Pool.get(n) }
 
 // PutUint64 recycles a buffer obtained from GetUint64.
-func PutUint64(s []uint64) { putScratch(&u64Pool, s) }
+func PutUint64(s []uint64) { u64Pool.put(s) }
 
 // GetUint8 returns a length-n uint8 scratch buffer with arbitrary
-// contents (per-element activation codes before nibble packing).
-func GetUint8(n int) []uint8 { return getScratch[uint8](&u8Pool, n) }
+// contents (activation bytes before a bitplane gather, per-element
+// activation codes before nibble packing).
+func GetUint8(n int) []uint8 { return u8Pool.get(n) }
 
 // PutUint8 recycles a buffer obtained from GetUint8.
-func PutUint8(s []uint8) { putScratch(&u8Pool, s) }
+func PutUint8(s []uint8) { u8Pool.put(s) }
 
 // GetBool returns a length-n bool scratch buffer with arbitrary contents
 // (per-output sensitivity masks).
-func GetBool(n int) []bool { return getScratch[bool](&boolPool, n) }
+func GetBool(n int) []bool { return boolPool.get(n) }
 
 // PutBool recycles a buffer obtained from GetBool.
-func PutBool(s []bool) { putScratch(&boolPool, s) }
+func PutBool(s []bool) { boolPool.put(s) }
