@@ -150,19 +150,20 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return out
 	}
 
-	for ch := 0; ch < c; ch++ {
-		m := b.RunningMean.Data[ch]
-		sd := float32(math.Sqrt(float64(b.RunningVar.Data[ch]) + float64(b.Eps)))
-		g, bt := b.Gamma.W.Data[ch], b.Beta.W.Data[ch]
-		scale := g / sd
-		shift := bt - m*scale
-		for s := 0; s < n; s++ {
-			base := (s*c + ch) * hw
-			for i := 0; i < hw; i++ {
-				out.Data[base+i] = x.Data[base+i]*scale + shift
+	// Inference: one per-channel affine, applied plane by plane in
+	// contiguous runs of (sample, channel) planes on the shared pool.
+	scale, shift := b.evalAffineInto(tensor.GetFloat32(c), tensor.GetFloat32(c))
+	tensor.DefaultPool().ParallelRange(n*c, tensor.ElementwiseGrain/hw, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			sc, sh := scale[p%c], shift[p%c]
+			dst := out.Data[p*hw : (p+1)*hw]
+			for i, v := range x.Data[p*hw : (p+1)*hw] {
+				dst[i] = v*sc + sh
 			}
 		}
-	}
+	})
+	tensor.PutFloat32(scale)
+	tensor.PutFloat32(shift)
 	return out
 }
 
@@ -237,12 +238,16 @@ func (b *BatchNorm2D) ApplyStats(mean, variance []float32) {
 
 // EvalAffine returns the per-channel affine (scale, shift) the inference
 // forward applies: out = x*scale + shift with scale = gamma/sqrt(var+eps)
-// and shift = beta - mean*scale, computed with the exact float operations
-// of the eval branch of Forward. Fused conv epilogues use this to apply
+// and shift = beta - mean*scale. The eval branch of Forward takes its
+// affine from the same code, so fused conv epilogues that use this apply
 // batch-norm in the quantized domain bit-identically to the float path.
 func (b *BatchNorm2D) EvalAffine() (scale, shift []float32) {
-	scale = make([]float32, b.C)
-	shift = make([]float32, b.C)
+	return b.evalAffineInto(make([]float32, b.C), make([]float32, b.C))
+}
+
+// evalAffineInto is EvalAffine writing into caller-provided slices of
+// length C.
+func (b *BatchNorm2D) evalAffineInto(scale, shift []float32) ([]float32, []float32) {
 	for ch := 0; ch < b.C; ch++ {
 		sd := float32(math.Sqrt(float64(b.RunningVar.Data[ch]) + float64(b.Eps)))
 		sc := b.Gamma.W.Data[ch] / sd

@@ -4,7 +4,11 @@
 // installing ConvExecutor implementations on Conv2D layers.
 package nn
 
-import "repro/internal/tensor"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // Param is a trainable parameter with its gradient accumulator.
 type Param struct {
@@ -114,8 +118,16 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		sc = x
 	}
-	out := y.Clone()
-	out.Add(sc)
+	if len(y.Data) != len(sc.Data) {
+		panic(fmt.Sprintf("nn: %s body output %v does not match shortcut %v", r.Name, y.Shape, sc.Shape))
+	}
+	out := tensor.New(y.Shape...)
+	tensor.DefaultPool().ParallelRange(len(out.Data), tensor.ElementwiseGrain, func(lo, hi int) {
+		dst, a := out.Data[lo:hi], y.Data[lo:hi]
+		for i, v := range sc.Data[lo:hi] {
+			dst[i] = a[i] + v
+		}
+	})
 	if r.PostReLU {
 		if train {
 			r.sum = out.Clone()

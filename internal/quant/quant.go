@@ -21,6 +21,35 @@ func ActLevels(bits int) int32 { return int32(1<<uint(bits)) - 1 }
 // weight code (2^(k−1) − 1).
 func WeightLevels(bits int) int32 { return int32(1<<uint(bits-1)) - 1 }
 
+// roundCode rounds x, a grid value already clamped to [0, levels] for a
+// code of at most 16 bits, to the nearest integer with ties away from
+// zero, exactly as math.Round does, by adding 0.5 and truncating. Every
+// caller passes an x with at most 40 significant bits: the float32
+// product float64(v*levels), or the exact float64 product
+// float64(v)*levels of a float32 v. For x ≥ 0.5 the sum then fits in 41
+// bits, so it is exact and truncates to floor(x+0.5) = math.Round(x). For
+// x < 0.5 the sum stays below 1 even where it rounds, so it truncates to
+// 0. Exact ties such as float32(1/30)*15 == 0.5 do occur, so
+// math.RoundToEven is no substitute. NaN converts to an
+// implementation-defined integer; callers that must keep NaN check first.
+func roundCode(x float64) int32 { return int32(x + 0.5) }
+
+// snap clamps v to [0, 1] and maps it to the nearest point k/levels of
+// the k-bit grid, bit for bit equal to rounding with math.Round (the
+// oracle of TestActivationSitesMatchMathRound). NaN and −0 pass through
+// unchanged, as math.Round leaves them, where roundCode would not;
+// training's NaN rollback relies on NaN surviving the activation.
+func snap(v, levels float32) float32 {
+	if v < 0 {
+		v = 0
+	} else if v > 1 {
+		v = 1
+	} else if v != v || math.Float32bits(v) == 1<<31 {
+		return v
+	}
+	return float32(roundCode(float64(v*levels))) / levels
+}
+
 // ActQuantizer fake-quantizes activations DoReFa style: clamp to [0,1],
 // then snap to the uniform unsigned k-bit grid. Backward is the straight-
 // through estimator masked to the clamp range.
@@ -33,12 +62,7 @@ func (q *ActQuantizer) Forward(x *tensor.Tensor) *tensor.Tensor {
 	levels := float32(ActLevels(q.Bits))
 	out := tensor.New(x.Shape...)
 	for i, v := range x.Data {
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		out.Data[i] = float32(math.Round(float64(v*levels))) / levels
+		out.Data[i] = snap(v, levels)
 	}
 	return out
 }
@@ -163,26 +187,29 @@ func (q *QuantReLU) rng() float32 {
 	return q.Range
 }
 
-// Forward implements nn.Module.
+// Forward implements nn.Module. The elementwise pass runs in contiguous
+// chunks on the shared pool.
 func (q *QuantReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		q.inX = x
 	}
-	r := q.rng()
+	r, relaxed := q.rng(), q.Relaxed
 	out := tensor.New(x.Shape...)
 	levels := float32(ActLevels(q.Bits))
-	for i, v := range x.Data {
-		v /= r
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
+	tensor.DefaultPool().ParallelRange(len(x.Data), tensor.ElementwiseGrain, func(lo, hi int) {
+		dst := out.Data[lo:hi]
+		for i, v := range x.Data[lo:hi] {
+			v /= r
+			if !relaxed {
+				v = snap(v, levels)
+			} else if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+			dst[i] = v
 		}
-		if !q.Relaxed {
-			v = float32(math.Round(float64(v*levels))) / levels
-		}
-		out.Data[i] = v
-	}
+	})
 	return out
 }
 
@@ -229,7 +256,7 @@ func FillActCodes(dst []int32, src []float32, bits int) {
 		} else if v > 1 {
 			v = 1
 		}
-		dst[i] = int32(math.Round(float64(v) * fl))
+		dst[i] = roundCode(float64(v) * fl)
 	}
 }
 

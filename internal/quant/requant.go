@@ -1,7 +1,5 @@
 package quant
 
-import "math"
-
 // Requant is the code-emitting form of QuantReLU's inference forward: it
 // maps a float pre-activation straight to its unsigned k-bit code instead
 // of the dequantized grid value. The fused conv epilogue uses it to keep
@@ -47,7 +45,7 @@ func (rq Requant) Code(v float32) uint8 {
 	} else if v > 1 {
 		v = 1
 	}
-	return uint8(math.Round(float64(v * rq.levels)))
+	return uint8(roundCode(float64(v * rq.levels)))
 }
 
 // Levels returns the positive level count of the code grid.

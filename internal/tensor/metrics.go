@@ -23,7 +23,8 @@ var (
 	mScratchMisses = telemetry.GetCounter("tensor.scratch.misses")
 
 	// Worker-pool utilization: fan-out calls, tasks distributed, the
-	// per-call task count, and queue-saturated inline fallbacks.
+	// per-call task count, and helpers not queued because the queue was
+	// full (the caller drains their share inline).
 	mPoolCalls     = telemetry.GetCounter("tensor.pool.parallel_calls")
 	mPoolTasks     = telemetry.GetCounter("tensor.pool.tasks")
 	mPoolFanout    = telemetry.GetHistogram("tensor.pool.fanout", telemetry.ExpBuckets(1, 2, 10))

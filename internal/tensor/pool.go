@@ -15,10 +15,12 @@ import (
 // fans out) is bounded by the machine, not multiplied by it.
 //
 // ParallelN is deadlock-free under nesting because the caller always
-// participates in the work: if every pooled worker is busy, the calling
-// goroutine drains its own task set inline.
+// participates in the work and waits only for tasks, never for a queued
+// helper: if every pooled worker is busy, the calling goroutine drains its
+// own task set inline, and a helper still queued when the tasks have run
+// out returns at once whenever a worker reaches it.
 type Pool struct {
-	queue chan func()
+	queue chan *fanout
 	size  int
 }
 
@@ -30,7 +32,7 @@ func NewPool(size int) *Pool {
 	}
 	p := &Pool{size: size}
 	if size > 1 {
-		p.queue = make(chan func(), 8*size)
+		p.queue = make(chan *fanout, 8*size)
 		for i := 0; i < size; i++ {
 			go p.worker()
 		}
@@ -40,7 +42,7 @@ func NewPool(size int) *Pool {
 
 func (p *Pool) worker() {
 	for f := range p.queue {
-		f()
+		f.drain()
 	}
 }
 
@@ -70,7 +72,8 @@ func (p *Pool) ParallelN(n int, fn func(i int)) {
 
 // ParallelLimited is ParallelN with concurrency capped at limit (<=0 or
 // >size means the full pool). The calling goroutine always executes tasks
-// itself; pooled workers only help, which keeps nested calls deadlock-free.
+// itself, then waits for the tasks helpers have claimed but never for a
+// helper still in the queue, which keeps nested calls deadlock-free.
 func (p *Pool) ParallelLimited(limit, n int, fn func(i int)) {
 	if limit <= 0 || limit > p.size {
 		limit = p.size
@@ -86,38 +89,67 @@ func (p *Pool) ParallelLimited(limit, n int, fn func(i int)) {
 		}
 		return
 	}
-	var next int64
-	drain := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	helpers := limit - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		job := func() {
-			defer wg.Done()
-			drain()
-		}
+	f := &fanout{fn: fn, n: int64(n)}
+	f.done.Add(n)
+queue:
+	for h := min(limit, n) - 1; h > 0; h-- {
 		select {
-		case p.queue <- job:
+		case p.queue <- f:
 		default:
-			// Queue saturated (deeply nested parallelism): run inline
-			// rather than block on a worker that may be waiting on us.
-			mPoolSaturated.Inc()
-			job()
+			// Queue saturated (deeply nested parallelism): the caller
+			// drains what the h helpers not queued would have taken.
+			mPoolSaturated.Add(int64(h))
+			break queue
 		}
 	}
-	drain()
-	wg.Wait()
+	f.drain()
+	f.done.Wait()
+}
+
+// ParallelRange cuts [0, n) into at most Size() contiguous chunks of at
+// least grain items each and runs fn(lo, hi) once per chunk, blocking
+// until all complete. A single chunk runs inline on the caller.
+func (p *Pool) ParallelRange(n, grain int, fn func(lo, hi int)) {
+	chunks := min(n/max(grain, 1), p.size)
+	if chunks <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	p.ParallelN(chunks, func(i int) { fn(i*n/chunks, (i+1)*n/chunks) })
+}
+
+// ElementwiseGrain is the fewest elements worth one ParallelRange chunk
+// for loops that cost a few nanoseconds per element (batch-norm affine,
+// activation quantization, residual add). On a 2-CPU host,
+// BenchmarkParallelRange's split begins to beat the inline pass at about
+// two grains; below that, waking a pooled worker costs more than the
+// chunk it takes over.
+const ElementwiseGrain = 4096
+
+// fanout is one ParallelLimited call: n tasks behind an atomic cursor,
+// drained by the caller and by the queued helpers that reach it. The
+// caller waits for the n tasks to finish, not for the helpers: a helper
+// no worker reached before the cursor ran out finds no task to claim and
+// returns at once, so the caller never waits on a helper still in the
+// queue (every worker may be a caller blocked in a nested fan-out).
+type fanout struct {
+	fn   func(i int)
+	n    int64
+	next atomic.Int64
+	done sync.WaitGroup // counts unfinished tasks
+}
+
+func (f *fanout) drain() {
+	for {
+		i := f.next.Add(1) - 1
+		if i >= f.n {
+			return
+		}
+		f.fn(int(i))
+		f.done.Done()
+	}
 }
 
 // ---- Scratch buffer pools ----

@@ -9,10 +9,12 @@ go build ./...
 # Fast early gate: the telemetry layer, the kernels it instruments, the
 # weight-code cache every conv executor shares (its generation check),
 # the ODQ executor (its sample and output-channel fan-outs write shared
-# output, code and mask buffers) and the scale-out transport are the most
+# output, code and mask buffers), the layers whose inference tail runs on
+# the pool (QuantReLU, batch-norm and the residual add write one shared
+# output tensor from pool tasks) and the scale-out transport are the most
 # concurrency-sensitive packages; shake them under the race detector
 # before the long full-tree pass.
-go test -race -count=1 ./internal/telemetry ./internal/tensor ./internal/quant ./internal/core ./internal/dist
+go test -race -count=1 ./internal/telemetry ./internal/tensor ./internal/quant ./internal/nn ./internal/core ./internal/dist
 go test -race -timeout 90m ./...
 # Crash-safety gate: train, SIGKILL mid-run, resume; the resumed run must
 # be bit-identical to one that was never interrupted.
