@@ -22,6 +22,7 @@ verify:
 # Fast local gate matching the CI PR tier: vet, build, short tests.
 verify-quick:
 	go vet ./...
+	GOARCH=arm64 go vet ./...
 	go build ./...
 	go test -short -timeout 15m ./...
 	cd bench && go test -short -timeout 10m .

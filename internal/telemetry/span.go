@@ -28,10 +28,13 @@ type spanRecord struct {
 // spanRing is a fixed-capacity overwrite-oldest ring of completed spans.
 // Recording takes one short mutex hold (span End is conv/phase-granular,
 // orders of magnitude rarer than counter updates, so a mutex keeps it
-// simple and race-detector-clean).
+// simple and race-detector-clean). The buffer is allocated at the first
+// record: a registry that never records a span carries no ring for the
+// GC to scan.
 type spanRing struct {
 	mu       sync.Mutex
 	buf      []spanRecord
+	capacity int
 	next     int   // next slot to write
 	recorded int64 // total record() calls
 	now      func() int64
@@ -42,14 +45,17 @@ func newSpanRing(capacity int) *spanRing {
 		capacity = 1
 	}
 	return &spanRing{
-		buf: make([]spanRecord, 0, capacity),
-		now: func() int64 { return time.Now().UnixNano() },
+		capacity: capacity,
+		now:      func() int64 { return time.Now().UnixNano() },
 	}
 }
 
 func (r *spanRing) record(name string, start, end int64, args map[string]interface{}) {
 	rec := spanRecord{name: name, start: start, dur: end - start, args: args}
 	r.mu.Lock()
+	if r.buf == nil {
+		r.buf = make([]spanRecord, 0, r.capacity)
+	}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, rec)
 	} else {
@@ -64,7 +70,7 @@ func (r *spanRing) stats() SpanStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	dropped := r.recorded - int64(len(r.buf))
-	return SpanStats{Recorded: r.recorded, Dropped: dropped, Capacity: cap(r.buf)}
+	return SpanStats{Recorded: r.recorded, Dropped: dropped, Capacity: r.capacity}
 }
 
 // records returns a copy of the retained spans (unordered).

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -172,6 +173,31 @@ func TestSpanRingOverwrite(t *testing.T) {
 	r.ResetSpans()
 	if st := r.spans.stats(); st.Recorded != 0 || len(r.TraceEvents()) != 0 {
 		t.Fatalf("reset did not clear ring: %+v", st)
+	}
+}
+
+// TestNewRegistryDefersSpanRing checks that a registry allocates its span
+// ring at the first recorded span, not at construction: a registry that
+// never records carries no ring, yet reports the ring's capacity.
+func TestNewRegistryDefersSpanRing(t *testing.T) {
+	const regs = 8
+	keep := make([]*Registry, regs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewRegistry()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / regs; per >= 64<<10 {
+		t.Fatalf("NewRegistry allocates %d B, want < 64 KiB", per)
+	}
+	r := keep[0]
+	if st := r.spans.stats(); st.Capacity != defaultSpanCap || st.Recorded != 0 || st.Dropped != 0 {
+		t.Fatalf("stats before any span = %+v, want capacity %d and nothing recorded", st, defaultSpanCap)
+	}
+	withEnabled(t, func() { r.StartSpan("s").End() })
+	if st := r.spans.stats(); st.Capacity != defaultSpanCap || st.Recorded != 1 || st.Dropped != 0 {
+		t.Fatalf("stats after one span = %+v, want capacity %d and 1 recorded", st, defaultSpanCap)
 	}
 }
 

@@ -9,8 +9,9 @@ package tensor
 // keep the A block in L2 and each B panel in L1, and the innermost tile is
 // computed by a register-resident MR×NR microkernel. On amd64 with
 // AVX2+FMA (detected at runtime) the float microkernel is a 6×16
-// fused-multiply-add kernel and the integer microkernel a 2×8 VPMULDQ
-// kernel; elsewhere a scalar register-tiled fallback runs.
+// fused-multiply-add kernel (partial tiles run its unfused twin into a
+// stack tile) and the integer microkernel a 2×8 VPMULDQ kernel;
+// elsewhere a scalar register-tiled fallback runs.
 //
 // Numerical contract:
 //   - float kernels (Gemm, GemmAcc, GemmTN, GemmNT, GemmBiasRow) may
@@ -193,7 +194,8 @@ func gemmF32(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, 
 		}
 		mGemmRowBlocks.Observe(float64(rb))
 	}
-	bp := GetFloat32(gemmKC * gemmNC)
+	bp := GetFloat32(minInt(gemmKC, k) * minInt(gemmNC, roundUp(n, nr)))
+	apLen := minInt(gemmMC, roundUp(m, mr)) * minInt(gemmKC, k)
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := minInt(gemmNC, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
@@ -206,7 +208,7 @@ func gemmF32(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, 
 			runBlock := func(blk int) {
 				ic := blk * gemmMC
 				mc := minInt(gemmMC, m-ic)
-				ap := GetFloat32(gemmMC * gemmKC)
+				ap := GetFloat32(apLen)
 				packF32A(a, ars, acs, ic, mc, pc, kc, mr, ap)
 				for ir := 0; ir < mc; ir += mr {
 					h := minInt(mr, mc-ir)
@@ -217,6 +219,8 @@ func gemmF32(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, 
 						bpan := bp[(jr/nr)*kc*nr:]
 						if h == mr && w == nr && useAsmF32 {
 							fmaKernel6x16(&apan[0], &bpan[0], kc, &crow[jr], n)
+						} else if useAsmF32 {
+							mulAddEdgeF32(apan, bpan, kc, h, w, crow[jr:], n)
 						} else if h == mr && w == nr && mr == 1 {
 							microF32Acc1x8(apan, bpan, kc, crow[jr:jr+8])
 						} else {
@@ -238,6 +242,11 @@ func gemmF32(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, 
 	}
 	PutFloat32(bp)
 }
+
+// roundUp rounds n up to a multiple of r. Pack buffers keep whole
+// tail panels (MR×kc and kc×NR, zero-padded), which the microkernels
+// read in full.
+func roundUp(n, r int) int { return (n + r - 1) / r * r }
 
 // packF32A packs rows [ic,ic+mc) × cols [pc,pc+kc) of A̅ into mr-row
 // panels laid out panel-major [p][r]; tail rows are zero-padded.
@@ -333,7 +342,8 @@ func microF32Acc1x8(ap, bp []float32, kc int, cd []float32) {
 	cd[7] += c7
 }
 
-// microF32Edge handles partial tiles (h<mr or w<nr): the zero-padded
+// microF32Edge handles partial tiles (h<mr or w<nr) of the scalar
+// build; AVX2 runs mulAddEdgeF32, bit-identical to it. The zero-padded
 // panels make the full-tile product correct, so it accumulates the whole
 // mr×nr tile on the stack and stores only the valid h×w corner.
 func microF32Edge(ap, bp []float32, kc, mr, nr, h, w int, c []float32, ldc int) {
@@ -353,6 +363,24 @@ func microF32Edge(ap, bp []float32, kc, mr, nr, h, w int, c []float32, ldc int) 
 		cd := c[r*ldc:]
 		trow := tile[r*nr:]
 		for j := 0; j < w; j++ {
+			cd[j] += trow[j]
+		}
+	}
+}
+
+// mulAddEdgeF32 computes a partial 6×16 tile (h<6 or w<16) on AVX2: the
+// unfused kernel runs over the zero-padded panels into a zeroed stack
+// tile, and the valid h×w corner is added into c. Each lane starts from
+// zero, adds the rounded products in ascending p and is then added to c,
+// the float32 operations and order of microF32Edge, so the two agree bit
+// for bit. The FMA kernel would round once per step instead of twice.
+func mulAddEdgeF32(ap, bp []float32, kc, h, w int, c []float32, ldc int) {
+	var tile [gemmMaxTile]float32
+	mulAddKernel6x16(&ap[0], &bp[0], kc, &tile[0], 16)
+	for r := 0; r < h; r++ {
+		cd := c[r*ldc : r*ldc+w]
+		trow := tile[r*16:]
+		for j := range cd {
 			cd[j] += trow[j]
 		}
 	}
@@ -398,7 +426,8 @@ func gemmIntCore(a, b []int32, c []int64, m, k, n int) {
 		}
 		mGemmRowBlocks.Observe(float64(rb))
 	}
-	bp := GetInt32(gemmKC * gemmNCI)
+	bp := GetInt32(minInt(gemmKC, k) * minInt(gemmNCI, roundUp(n, nr)))
+	apLen := minInt(gemmMCI, roundUp(m, mr)) * minInt(gemmKC, k)
 	for jc := 0; jc < n; jc += gemmNCI {
 		nc := minInt(gemmNCI, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
@@ -411,7 +440,7 @@ func gemmIntCore(a, b []int32, c []int64, m, k, n int) {
 			runBlock := func(blk int) {
 				ic := blk * gemmMCI
 				mc := minInt(gemmMCI, m-ic)
-				ap := GetInt32(gemmMCI * gemmKC)
+				ap := GetInt32(apLen)
 				packIntA(a, k, ic, mc, pc, kc, mr, ap)
 				for ir := 0; ir < mc; ir += mr {
 					h := minInt(mr, mc-ir)

@@ -20,6 +20,13 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func fmaKernel6x16(ap, bp *float32, kc int, c *float32, ldc int)
 
+// mulAddKernel6x16 is fmaKernel6x16 with each fused multiply-add split
+// into a rounded multiply and a rounded add, so each lane performs
+// microF32Edge's float32 operations in its order. kc must be ≥ 1.
+//
+//go:noescape
+func mulAddKernel6x16(ap, bp *float32, kc int, c *float32, ldc int)
+
 // mulKernelInt2x8 accumulates a full 2×8 int tile: c[r*ldc+j] += Σ_p
 // int64(ap[p*2+r])*int64(bp[p*8+j]), exact int32×int32→int64 products via
 // VPMULDQ. kc must be ≥ 1.
@@ -55,9 +62,9 @@ func detectAVX2FMA() bool {
 
 var haveAVX2FMA = detectAVX2FMA()
 
-// useAsmF32/useAsmInt route full microkernel tiles to the assembly
-// kernels. Split into two flags so tests can exercise the scalar integer
-// path independently.
+// useAsmF32/useAsmInt route microkernel tiles to the assembly kernels
+// (float partial tiles too). Split into two flags so tests can exercise
+// the scalar integer path independently.
 var (
 	useAsmF32 = haveAVX2FMA
 	useAsmInt = haveAVX2FMA

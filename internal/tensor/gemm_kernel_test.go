@@ -79,6 +79,16 @@ func kernelShapes() [][3]int {
 		{3, 257, 31},
 		{64, 576, 96},
 	}
+	// One past the row and column blocks and one short of the reduction
+	// block, float and integer: the pack buffers are sized to the
+	// operands, so these straddle every buffer-size boundary.
+	shapes = append(shapes,
+		[3]int{gemmMC + 1, 9, 7},
+		[3]int{3, 7, gemmNC + 1},
+		[3]int{5, gemmKC - 1, 17},
+		[3]int{gemmMCI + 1, 9, 7},
+		[3]int{3, 7, gemmNCI + 1},
+	)
 	// Tail blocks around the active microkernel tile.
 	for _, dm := range []int{-1, 0, 1} {
 		for _, dn := range []int{-1, 0, 1} {
@@ -263,6 +273,84 @@ func TestGemmBiasRowMatchesGemmPlusBias(t *testing.T) {
 			}
 		}
 		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("GemmBiasRow %dx%dx%d", m, k, n))
+	}
+}
+
+// TestPartialTileKernelMatchesScalar checks the AVX2 partial-tile path,
+// the unfused kernel plus the corner add, bit for bit against the scalar
+// edge kernel and against an explicit round-the-product-then-add oracle,
+// for every tile shape, across magnitudes from 1e-30 to 1e30 with
+// subnormals, signed zeros and infinities. NaN results compare by
+// NaN-ness (payloads may differ). A fused multiply-add rounds once and
+// fails it.
+func TestPartialTileKernelMatchesScalar(t *testing.T) {
+	if !useAsmF32 {
+		t.Skip("no AVX2 kernel on this machine")
+	}
+	const mr, nr, ldc = 6, 16, 19
+	rng := NewRNG(41)
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32 * 7, 1e-39, -3e-40}
+	draw := func() float32 {
+		if rng.Intn(50) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		v := float32(math.Pow(10, float64(rng.Float32()*60-30))) * (1 + rng.Float32())
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	same := func(a, b float32) bool {
+		if a != a || b != b {
+			return a != a && b != b
+		}
+		return math.Float32bits(a) == math.Float32bits(b)
+	}
+	for _, kc := range []int{1, 2, 7, 255, 256} {
+		for h := 1; h <= mr; h++ {
+			for w := 1; w <= nr; w++ {
+				if h == mr && w == nr {
+					continue
+				}
+				ap := make([]float32, kc*mr)
+				bp := make([]float32, kc*nr)
+				for p := 0; p < kc; p++ {
+					for r := 0; r < h; r++ {
+						ap[p*mr+r] = draw()
+					}
+					for j := 0; j < w; j++ {
+						bp[p*nr+j] = draw()
+					}
+				}
+				c0 := make([]float32, h*ldc)
+				for i := range c0 {
+					c0[i] = draw()
+				}
+				got := append([]float32(nil), c0...)
+				edge := append([]float32(nil), c0...)
+				mulAddEdgeF32(ap, bp, kc, h, w, got, ldc)
+				microF32Edge(ap, bp, kc, mr, nr, h, w, edge, ldc)
+				for r := 0; r < h; r++ {
+					for j := 0; j < ldc; j++ {
+						i := r*ldc + j
+						want := c0[i]
+						if j < w {
+							var acc float32
+							for p := 0; p < kc; p++ {
+								acc += float32(ap[p*mr+r] * bp[p*nr+j])
+							}
+							want += acc
+						}
+						if !same(got[i], want) || !same(edge[i], want) {
+							t.Fatalf("kc %d tile %dx%d at (%d,%d): kernel %g (%#x), edge %g (%#x), oracle %g (%#x)",
+								kc, h, w, r, j, got[i], math.Float32bits(got[i]), edge[i], math.Float32bits(edge[i]),
+								want, math.Float32bits(want))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -19,6 +19,11 @@ func fmaKernel6x16(ap, bp *float32, kc int, c *float32, ldc int) {
 	panic("tensor: fmaKernel6x16 unavailable")
 }
 
+// mulAddKernel6x16 is never called when useAsmF32 is false.
+func mulAddKernel6x16(ap, bp *float32, kc int, c *float32, ldc int) {
+	panic("tensor: mulAddKernel6x16 unavailable")
+}
+
 // mulKernelInt2x8 is never called when useAsmInt is false.
 func mulKernelInt2x8(ap, bp *int32, kc int, c *int64, ldc int) {
 	panic("tensor: mulKernelInt2x8 unavailable")

@@ -18,7 +18,7 @@ var (
 		telemetry.ExpBuckets(1, 2, 8)) // 1,2,4,...,128
 
 	// Scratch-pool checkout outcomes: a hit reuses a pooled buffer of
-	// sufficient capacity, a miss allocates.
+	// the request's size class, a miss allocates the class capacity.
 	mScratchHits   = telemetry.GetCounter("tensor.scratch.hits")
 	mScratchMisses = telemetry.GetCounter("tensor.scratch.misses")
 

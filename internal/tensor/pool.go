@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -161,12 +162,39 @@ func (f *fanout) drain() {
 // near-zero allocation. Buffers come back DIRTY: callers must fully
 // overwrite (im2col and GemmInt do).
 
-// scratchPool recycles buffers of one element type. sync.Pool holds
+// scratchPool recycles buffers of one element type, one sync.Pool per
+// size class, so a request is served from buffers of its own size and a
+// retained buffer is never much larger than asked. sync.Pool holds
 // interface values, so a buffer travels inside a *[]T; the emptied
-// wrappers go round a second pool, so neither Get nor Put allocates in
-// steady state.
+// wrappers go round a second pool, shared by all classes, so neither Get
+// nor Put allocates in steady state.
 type scratchPool[T any] struct {
-	bufs, wrappers sync.Pool
+	classes  [scratchClasses]sync.Pool
+	wrappers sync.Pool
+}
+
+// Size classes step by a quarter of a doubling: class i holds
+// (4 + i%4) << (i/4) elements (4, 5, 6, 7, 8, 10, 12, 14, 16, 20, ...),
+// so a buffer is at most 25 % larger than the request it serves. The
+// classes cover every int.
+const scratchClasses = 4*(bits.UintSize-3) + 1
+
+// scratchCap is the capacity of class i.
+func scratchCap(i int) int { return (4 + i%4) << (i / 4) }
+
+// scratchClassAtMost returns the largest class whose capacity is at
+// most c (c >= 4).
+func scratchClassAtMost(c int) int {
+	s := bits.Len(uint(c)) - 3
+	return 4*s + int(uint(c)>>s) - 4
+}
+
+// scratchClass returns the smallest class whose capacity is at least n.
+func scratchClass(n int) int {
+	if n <= 4 {
+		return 0
+	}
+	return scratchClassAtMost(n-1) + 1
 }
 
 var (
@@ -178,26 +206,27 @@ var (
 	boolPool scratchPool[bool]
 )
 
-// get returns a length-n buffer with arbitrary contents, allocating when
-// the pooled buffer is missing or too small.
+// get returns a length-n buffer with arbitrary contents from n's size
+// class, allocating the class capacity when the class has none pooled.
 func (p *scratchPool[T]) get(n int) []T {
-	if v := p.bufs.Get(); v != nil {
+	i := scratchClass(n)
+	if v := p.classes[i].Get(); v != nil {
 		w := v.(*[]T)
 		s := *w
 		*w = nil
 		p.wrappers.Put(w)
-		if cap(s) >= n {
-			mScratchHits.Inc()
-			return s[:n]
-		}
+		mScratchHits.Inc()
+		return s[:n]
 	}
 	mScratchMisses.Inc()
-	return make([]T, n)
+	return make([]T, n, scratchCap(i))
 }
 
-// put recycles a buffer obtained from get on the same pool.
+// put recycles a buffer under the largest class its capacity fills, so a
+// buffer of any capacity serves only requests it can hold. Buffers below
+// the smallest class are dropped.
 func (p *scratchPool[T]) put(s []T) {
-	if cap(s) == 0 {
+	if cap(s) < scratchCap(0) {
 		return
 	}
 	w, _ := p.wrappers.Get().(*[]T)
@@ -205,7 +234,7 @@ func (p *scratchPool[T]) put(s []T) {
 		w = new([]T)
 	}
 	*w = s[:cap(s)]
-	p.bufs.Put(w)
+	p.classes[scratchClassAtMost(cap(s))].Put(w)
 }
 
 // GetInt32 returns a length-n int32 scratch buffer with arbitrary contents.

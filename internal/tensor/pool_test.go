@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,25 +11,87 @@ import (
 
 // TestScratchPoolsSteadyStateNoAllocs checks that once a buffer of each
 // element type is pooled, a Get/Put cycle allocates nothing: neither the
-// buffer nor the wrapper sync.Pool carries it in.
+// buffer nor the wrapper sync.Pool carries it in. Each cycle alternates
+// two sizes from different classes, whose wrappers share one pool.
 func TestScratchPoolsSteadyStateNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
-	const n = 1000
+	const n, n2 = 1000, 3000
+	if scratchClass(n) == scratchClass(n2) {
+		t.Fatalf("%d and %d share a size class", n, n2)
+	}
 	cycles := map[string]func(){
-		"int32":   func() { PutInt32(GetInt32(n)) },
-		"int64":   func() { PutInt64(GetInt64(n)) },
-		"float32": func() { PutFloat32(GetFloat32(n)) },
-		"uint64":  func() { PutUint64(GetUint64(n)) },
-		"uint8":   func() { PutUint8(GetUint8(n)) },
-		"bool":    func() { PutBool(GetBool(n)) },
+		"int32":   func() { PutInt32(GetInt32(n)); PutInt32(GetInt32(n2)) },
+		"int64":   func() { PutInt64(GetInt64(n)); PutInt64(GetInt64(n2)) },
+		"float32": func() { PutFloat32(GetFloat32(n)); PutFloat32(GetFloat32(n2)) },
+		"uint64":  func() { PutUint64(GetUint64(n)); PutUint64(GetUint64(n2)) },
+		"uint8":   func() { PutUint8(GetUint8(n)); PutUint8(GetUint8(n2)) },
+		"bool":    func() { PutBool(GetBool(n)); PutBool(GetBool(n2)) },
 	}
 	for name, cycle := range cycles {
 		if a := testing.AllocsPerRun(100, cycle); a != 0 {
 			t.Errorf("%s: %v allocs per Get/Put cycle, want 0", name, a)
 		}
 	}
+}
+
+// TestScratchSizeClasses checks the class arithmetic for every request
+// size up to 2^20 (strided under -short): a request's class holds it with
+// at most 25 % to spare, a buffer get hands out is filed back under the
+// same class, and any capacity is filed under a class it can hold.
+func TestScratchSizeClasses(t *testing.T) {
+	step := 1
+	if testing.Short() {
+		step = 97
+	}
+	for n := 1; n <= 1<<20; n += step {
+		i := scratchClass(n)
+		c := scratchCap(i)
+		if c < n || (n > 4 && 4*c > 5*n) {
+			t.Fatalf("n %d: class %d capacity %d, want within [n, 1.25n]", n, i, c)
+		}
+		if i > 0 && scratchCap(i-1) >= n {
+			t.Fatalf("n %d: class %d is not the smallest holding it", n, i)
+		}
+		if got := scratchClassAtMost(c); got != i {
+			t.Fatalf("n %d: a buffer of capacity %d is filed under class %d, want %d", n, c, got, i)
+		}
+	}
+	for c := 4; c <= 1<<20; c += step {
+		i := scratchClassAtMost(c)
+		if scratchCap(i) > c || scratchCap(i+1) <= c {
+			t.Fatalf("capacity %d: filed under class %d (capacity %d), want the largest class <= %d", c, i, scratchCap(i), c)
+		}
+	}
+	last := scratchClass(math.MaxInt)
+	if last != scratchClasses-1 || scratchClassAtMost(math.MaxInt) >= scratchClasses {
+		t.Fatalf("the largest int maps to class %d of %d", last, scratchClasses)
+	}
+	for _, n := range []int{0, 1, 5, 1000, 36864} {
+		s := GetFloat32(n)
+		if len(s) != n || cap(s) < n {
+			t.Fatalf("GetFloat32(%d): len %d cap %d", n, len(s), cap(s))
+		}
+		PutFloat32(s)
+		PutInt32(GetInt32(n))
+		PutInt64(GetInt64(n))
+		PutUint64(GetUint64(n))
+		PutUint8(GetUint8(n))
+		PutBool(GetBool(n))
+	}
+}
+
+// TestScratchNoOversizedReuse checks that a small request is never served
+// a pooled buffer far larger than it asked for: a retained buffer would
+// pin the large one's memory.
+func TestScratchNoOversizedReuse(t *testing.T) {
+	PutFloat32(make([]float32, 1<<18)) // 1 MiB
+	s := GetFloat32(1000)
+	if cap(s) > 1250 {
+		t.Fatalf("GetFloat32(1000) returned capacity %d, want <= 1250", cap(s))
+	}
+	PutFloat32(s)
 }
 
 // TestPoolNestedFanOutNoDeadlock runs two callers that each nest a

@@ -5,6 +5,9 @@ set -eux
 # never reuse one name across instrument types (cheap, so it runs first).
 ./scripts/metric_lint.sh
 go vet ./...
+# The non-amd64 build (scalar microkernels, assembly stubs) only compiles
+# for another GOARCH.
+GOARCH=arm64 go vet ./...
 go build ./...
 # Fast early gate: the telemetry layer, the kernels it instruments, the
 # weight-code cache every conv executor shares (its generation check),
