@@ -19,12 +19,14 @@ race:
 verify:
 	./verify.sh
 
-# Fast local gate matching the CI PR tier: vet, build, short tests.
+# Fast local gate matching the CI PR tier: vet, build, short tests, one
+# iteration of every benchmark.
 verify-quick:
 	go vet ./...
 	GOARCH=arm64 go vet ./...
 	go build ./...
 	go test -short -timeout 15m ./...
+	go test -run '^$$' -bench . -benchtime 1x ./...
 	cd bench && go test -short -timeout 10m .
 
 bench:

@@ -113,15 +113,11 @@ func main() {
 	}
 
 	if *dump != "" {
-		profiler, ok := sess.Exec().(infer.Profiled)
-		if !ok {
-			fail("scheme %s records no per-layer profiles: -dump is unsupported", *scheme)
-		}
 		f, err := os.Create(*dump)
 		if err != nil {
 			fail("%v", err)
 		}
-		err = maskio.Write(f, profiler.Profiles())
+		err = maskio.Write(f, sess.Exec().Profiles())
 		f.Close()
 		if err != nil {
 			fail("%v", err)

@@ -47,20 +47,9 @@ func main() {
 	}
 
 	accels := sim.Table2Accels()
-	// ODQ utilization from the cycle-level slice simulation, when masks
-	// are present.
-	var utilSum, wsum float64
-	for _, p := range profiles {
-		if len(p.Mask) == 0 {
-			continue
-		}
-		u, _, _ := sim.ODQUtilization(p)
-		utilSum += u * float64(p.TotalMACs)
-		wsum += float64(p.TotalMACs)
-	}
-	if wsum > 0 {
-		accels["ODQ"].Utilization = utilSum / wsum
-	}
+	// ODQ utilization from the cycle-level slice simulation of the
+	// layers whose masks were dumped.
+	accels["ODQ"].Utilization = sim.ODQUtilization(profiles)
 
 	var highMACs int64
 	for _, p := range profiles {

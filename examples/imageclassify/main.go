@@ -113,15 +113,7 @@ func main() {
 		case "ODQ":
 			profiles = odqProfiles
 			// Derate for scheduling losses measured by the cycle sim.
-			var utilSum, wsum float64
-			for _, p := range odqProfiles {
-				u, _, _ := sim.ODQUtilization(p)
-				utilSum += u * float64(p.TotalMACs)
-				wsum += float64(p.TotalMACs)
-			}
-			if wsum > 0 {
-				accels["ODQ"].Utilization = utilSum / wsum
-			}
+			accels["ODQ"].Utilization = sim.ODQUtilization(odqProfiles)
 		}
 		bd, nc := energy.SchemeEnergy(accels[name], profiles, consts)
 		cycles := float64(nc.TotalCycles())

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -64,6 +66,97 @@ func TestSparseDenseParityRandomized(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzThresholds are the thresholds FuzzSparseEqualsDense draws from:
+// everything sensitive (−1 and 0), cuts on either side of the mean, and
+// nothing sensitive (1e9).
+var fuzzThresholds = []float32{-1, 0, 0.25, 0.5, 1.5, 1e9}
+
+// FuzzSparseEqualsDense holds the exactness contract over drawn shapes,
+// batches, thresholds and bits/predBits splits: the sparse executor's
+// outputs and masks equal the dense compute-then-select oracle's, bit for
+// bit. Batches reach 17, at or above the shared pool's size on hosts of
+// up to 17 CPUs, so the per-sample fan-out runs as well as the
+// per-output-channel one. outlier concentrates the input on a few
+// full-scale activations and blows one weight up 32×, which starves the
+// other codes and stresses the high/low split and the integer cut.
+func FuzzSparseEqualsDense(f *testing.F) {
+	// Arguments are (seed, inC-1, outC-1, H-1, W-1, K-1, stride-1, pad,
+	// batch-1, bits-2, predBits-1, threshold index, outlier).
+	for _, s := range []struct {
+		c, oc, h, w, k, stride, pad, batch, bits, pred, th uint8
+		outlier                                            bool
+	}{
+		{3, 5, 9, 9, 2, 0, 1, 1, 2, 1, 3, false},   // 4/2, the paper's split
+		{4, 6, 7, 8, 2, 1, 1, 2, 6, 3, 2, false},   // 8/4
+		{2, 3, 6, 6, 2, 0, 1, 0, 14, 0, 4, false},  // 16/1
+		{2, 3, 6, 5, 2, 1, 0, 2, 14, 14, 3, true},  // 16/15
+		{3, 4, 8, 8, 2, 0, 1, 1, 0, 0, 2, false},   // 2/1
+		{64, 2, 5, 4, 2, 1, 1, 2, 2, 1, 4, false},  // 65 channels, 4/2
+		{64, 2, 4, 4, 0, 0, 0, 0, 6, 3, 3, true},   // 65 channels, 8/4, 1×1
+		{2, 3, 5, 5, 2, 0, 1, 16, 2, 1, 3, false},  // batch 17: per-sample fan-out
+		{5, 4, 11, 11, 4, 2, 2, 1, 10, 5, 1, true}, // 5×5, stride 3, 12/6
+		{1, 2, 4, 4, 2, 0, 1, 0, 2, 1, 5, false},   // nothing sensitive
+		{1, 2, 4, 4, 2, 0, 1, 0, 2, 1, 0, true},    // everything sensitive
+	} {
+		f.Add(int64(s.c)*31+int64(s.bits), s.c, s.oc, s.h, s.w, s.k, s.stride, s.pad, s.batch, s.bits, s.pred, s.th, s.outlier)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, c, oc, h, w, k, stride, pad, batch, bitsB, predB, thB uint8, outlier bool) {
+		inC, outC := 1+int(c)%72, 1+int(oc)%8
+		kk, st, pd := 1+int(k)%5, 1+int(stride)%3, int(pad)%3
+		ih, iw := 1+int(h)%12, 1+int(w)%12
+		n := 1 + int(batch)%17
+		if inC*ih*iw*n > 1<<14 {
+			ih, iw = min(ih, 4), min(iw, 4)
+		}
+		ih, iw = max(ih, kk-2*pd), max(iw, kk-2*pd)
+		bits := 2 + int(bitsB)%15
+		predBits := 1 + int(predB)%(bits-1)
+		th := fuzzThresholds[int(thB)%len(fuzzThresholds)]
+
+		rng := tensor.NewRNG(seed)
+		conv := nn.NewConv2D("c", inC, outC, kk, st, pd, false, rng)
+		x := tensor.New(n, inC, ih, iw)
+		rng.FillUniform(x, 0, 1)
+		if outlier {
+			for i := range x.Data {
+				if i%13 == 0 {
+					x.Data[i] = 1
+				} else {
+					x.Data[i] *= 0.05
+				}
+			}
+			conv.Weight.W.Data[rng.Intn(conv.Weight.W.Len())] *= 32
+		}
+
+		run := func(opts ...Option) (*tensor.Tensor, *quant.LayerProfile) {
+			e := NewExec(th, append(opts, WithBits(bits), WithPredBits(predBits), WithMaskRecording())...)
+			return e.Conv(x, conv), e.Profiles()[0]
+		}
+		sparse, sp := run()
+		dense, dp := run(WithDenseReference())
+		where := func() string {
+			return fmt.Sprintf("C=%d outC=%d %dx%d K=%d s=%d pad=%d N=%d bits=%d/%d th=%v outlier=%v",
+				inC, outC, ih, iw, kk, st, pd, n, bits, predBits, th, outlier)
+		}
+		if len(sparse.Data) != len(dense.Data) {
+			t.Fatalf("%s: output length %d vs %d", where(), len(sparse.Data), len(dense.Data))
+		}
+		for i := range sparse.Data {
+			if math.Float32bits(sparse.Data[i]) != math.Float32bits(dense.Data[i]) {
+				t.Fatalf("%s: output %d: sparse %v dense %v", where(), i, sparse.Data[i], dense.Data[i])
+			}
+		}
+		if sp.SensitiveOutputs != dp.SensitiveOutputs {
+			t.Fatalf("%s: sensitive outputs %d vs %d", where(), sp.SensitiveOutputs, dp.SensitiveOutputs)
+		}
+		for i := range sp.Mask {
+			if sp.Mask[i] != dp.Mask[i] {
+				t.Fatalf("%s: mask bit %d: sparse %v dense %v", where(), i, sp.Mask[i], dp.Mask[i])
+			}
+		}
+	})
 }
 
 func TestSparseSerialParallelParity(t *testing.T) {

@@ -155,7 +155,7 @@ func (r *Table2Result) Render(w io.Writer) {
 	t := stats.NewTable("Table 2: accelerator configurations (equal area / on-chip memory)",
 		"accelerator", "#PEs", "on-chip memory (MB)")
 	for _, a := range r.Accels {
-		t.AddRow(a.Name, a.PEs, float64(a.OnChipBytes)/(1024*1024))
+		t.AddRow(a.Name, a.PEs, float64(a.Mem.GlobalBufferBytes)/(1024*1024))
 	}
 	t.Render(w)
 }

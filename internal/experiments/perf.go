@@ -165,17 +165,7 @@ func costsFor(l *Lab, modelName string) *modelCosts {
 
 		// ODQ utilization from the cycle-level slice simulation,
 		// weighted by per-layer PE work.
-		var utilSum, wsum float64
-		for _, p := range odqProfiles {
-			util, _, _ := sim.ODQUtilization(p)
-			wgt := float64(p.TotalMACs)
-			utilSum += util * wgt
-			wsum += wgt
-		}
-		util := 1.0
-		if wsum > 0 {
-			util = utilSum / wsum
-		}
+		util := sim.ODQUtilization(odqProfiles)
 		accels["ODQ"].Utilization = util
 
 		mc := &modelCosts{Costs: map[string]*sim.NetworkCost{}, ODQUtil: util}

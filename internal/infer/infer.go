@@ -16,16 +16,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/drq"
-	"repro/internal/fabric"
 	"repro/internal/nn"
 	"repro/internal/quant"
 )
 
 // Executor is the interface every quantized conv executor in this repo
-// satisfies: it can run a convolution in place of the float path, and it
-// can drop its packed weight-code caches after a weight mutation.
-// Implementations: core.Exec (ODQ), quant.StaticExec (per-tensor and
-// per-channel scales), drq.Exec, fabric.Exec.
+// satisfies: it can run a convolution in place of the float path, drop
+// its packed weight-code caches after a weight mutation, and report the
+// per-layer profiles it recorded. Implementations: core.Exec (ODQ),
+// quant.StaticExec (per-tensor and per-channel scales), drq.Exec.
 type Executor interface {
 	nn.ConvExecutor
 	// InvalidateCache drops cached weight codes. The contract (from the
@@ -33,11 +32,8 @@ type Executor interface {
 	// weight mutation BEFORE issuing new Conv calls; in-flight Conv calls
 	// can never re-populate a cache with stale codes.
 	InvalidateCache()
-}
-
-// Profiled is implemented by executors that record per-layer profiles
-// (everything except the fabric executor).
-type Profiled interface {
+	// Profiles returns the recorded per-layer profiles in network order;
+	// it is empty unless the executor was built with profiling on.
 	Profiles() []*quant.LayerProfile
 }
 
@@ -46,7 +42,6 @@ var (
 	_ Executor = (*core.Exec)(nil)
 	_ Executor = (*quant.StaticExec)(nil)
 	_ Executor = (*drq.Exec)(nil)
-	_ Executor = (*fabric.Exec)(nil)
 )
 
 // options collects the cross-scheme construction knobs. Scheme builders
@@ -62,8 +57,8 @@ type options struct {
 // Option configures NewFromScheme / NewSession.
 type Option func(*options)
 
-// WithThreshold sets the sensitivity threshold of the dynamic schemes
-// (odq, fabric); static schemes ignore it.
+// WithThreshold sets the sensitivity threshold of the odq scheme; the
+// other schemes ignore it.
 func WithThreshold(t float32) Option {
 	return func(o *options) { o.threshold = t }
 }
@@ -122,8 +117,6 @@ var schemes = []Scheme{
 		build: func(o options) Executor { return drq.NewExec(4, 2, drqOpts(o)...) }},
 	{Name: "odq", Description: "ODQ output-directed dynamic quantization (INT4 codes, 2-bit predictor)", TailOnly: true,
 		build: func(o options) Executor { return core.NewExec(o.threshold, odqOpts(o)...) }},
-	{Name: "fabric", Description: "ODQ through the modeled accelerator datapath (validation; very slow)", TailOnly: true,
-		build: func(o options) Executor { return fabric.New(fabric.WithThreshold(o.threshold)) }},
 }
 
 func staticOpts(o options) []quant.StaticOption {

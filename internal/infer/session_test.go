@@ -60,7 +60,7 @@ func TestReloadInvalidatesExactlyOnce(t *testing.T) {
 // weight codes — the reloaded session must be bit-identical to a session
 // built fresh on the new weights.
 func TestReloadStaleWeightImpossible(t *testing.T) {
-	for _, scheme := range []string{"odq", "int4", "int8pc", "int4pc", "drq84", "fabric"} {
+	for _, scheme := range []string{"odq", "int4", "int8pc", "int4pc", "drq84"} {
 		t.Run(scheme, func(t *testing.T) {
 			x := testInput(2, 31)
 

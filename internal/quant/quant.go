@@ -345,9 +345,10 @@ func SplitCodesSigned(t *tensor.IntTensor, lowBits int) (hi, lo *tensor.IntTenso
 // this shrinks the predictor's dead zone to |c| ≤ 2^(n−1)−1 (nearly every
 // operand contributes its sign and coarse magnitude to the high bits,
 // like DoReFa's zero-free grid) and keeps the residual zero-centered
-// (|lo| ≤ 2^n − 1). This is the split the ODQ predictor uses. When
-// signed, hi is clamped to the 2-bit two's-complement range [−2, 1];
-// unsigned hi clamps to [0, 2^(bits−n)−1].
+// (|lo| ≤ 2^n − 1). This is the split the ODQ predictor uses. With
+// h = bits − n, a signed hi clamps to the h-bit two's-complement range
+// [−2^(h−1), 2^(h−1)−1] ([−2, 1] at the paper's 4/2 split); an unsigned
+// hi clamps to [0, 2^h−1].
 func SplitCodesRounded(t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *tensor.IntTensor) {
 	return SplitCodesRoundedInto(make([]int32, len(t.Data)), make([]int32, len(t.Data)), t, lowBits, signed)
 }

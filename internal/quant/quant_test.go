@@ -212,6 +212,35 @@ func TestSplitCodesRoundedExactAndBounded(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+
+	// Exhaustively: every weight code (signed) and every activation code
+	// (unsigned) of every width the executors accept, at every split.
+	for bits := 2; bits <= 16; bits++ {
+		for lowBits := 1; lowBits < bits; lowBits++ {
+			h := uint(bits - lowBits)
+			loMax := int32(1)<<uint(lowBits) - 1
+			for _, signed := range []bool{true, false} {
+				first, last := int32(0), ActLevels(bits)
+				hiMin, hiMax := int32(0), int32(1)<<h-1
+				if signed {
+					first, last = -WeightLevels(bits), WeightLevels(bits)
+					hiMin, hiMax = -(int32(1) << (h - 1)), int32(1)<<(h-1)-1
+				}
+				q := tensor.NewInt(bits, 1, int(last-first+1))
+				for i := range q.Data {
+					q.Data[i] = first + int32(i)
+				}
+				hi, lo := SplitCodesRounded(q, lowBits, signed)
+				for i, c := range q.Data {
+					hc, lc := hi.Data[i], lo.Data[i]
+					if hc<<uint(lowBits)+lc != c || hc < hiMin || hc > hiMax || lc < -loMax || lc > loMax {
+						t.Fatalf("bits %d/%d signed=%v code %d: hi %d lo %d (hi in [%d,%d], |lo| <= %d)",
+							bits, lowBits, signed, c, hc, lc, hiMin, hiMax, loMax)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestRoundedSplitShrinksDeadZone(t *testing.T) {

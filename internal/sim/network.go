@@ -42,8 +42,7 @@ func SimulateNetwork(works []LayerWork) *NetworkSliceResult {
 	res := &NetworkSliceResult{}
 	prev := AllocConfig{}
 	for i, w := range works {
-		alloc := ChooseConfig(w.SensitiveFraction())
-		sr := SimulateLayer(w, DefaultSliceConfig(alloc, true))
+		sr, alloc := SimulateLayerAuto(w)
 		res.Layers = append(res.Layers, sr)
 		res.Allocs = append(res.Allocs, alloc)
 		res.Cycles += sr.Cycles

@@ -27,38 +27,23 @@ type Accel struct {
 	// PEs is the processing-element count at this accelerator's native
 	// PE width (Table 2: 120 / 1692 / 1692 / 4860).
 	PEs int
-	// BytesPerCycle is the off-chip bandwidth of the memory interface.
-	BytesPerCycle float64
-	// OnChipBytes is the global buffer capacity (0.17 MB for all four).
-	OnChipBytes int64
 	// Utilization derates compute throughput for scheduling losses
 	// (1 = perfect). For ODQ this is fed from the cycle simulation.
 	Utilization float64
-	// Mem, when set, replaces the flat read-once traffic model with the
-	// capacity-aware memory-hierarchy model (tiling + input refetch).
+	// Mem is the capacity-aware memory hierarchy (on-chip buffer,
+	// tiling, input refetch, DRAM bandwidth) that prices the traffic.
 	Mem *mem.System
 }
 
 // Table2Accels returns the paper's four accelerator configurations. All
-// share the memory system; they differ in PE count and native width.
+// have the Table-2 memory system; they differ in PE count and native
+// width.
 func Table2Accels() map[string]*Accel {
-	const (
-		bandwidth = 32.0               // bytes/cycle — LPDDR-class interface at accelerator clock
-		onChip    = 17 * 1048576 / 100 // 0.17 MB, Table 2
-	)
-	msys := func() *mem.System {
-		return &mem.System{
-			GlobalBufferBytes: onChip,
-			DRAMBytesPerCycle: bandwidth,
-			DRAMLatencyCycles: 64,
-			LineBufferRows:    3,
-		}
-	}
 	return map[string]*Accel{
-		"INT16": {Name: "INT16", Kind: KindINT16, PEs: 120, BytesPerCycle: bandwidth, OnChipBytes: onChip, Utilization: 1, Mem: msys()},
-		"INT8":  {Name: "INT8", Kind: KindINT8, PEs: 1692, BytesPerCycle: bandwidth, OnChipBytes: onChip, Utilization: 1, Mem: msys()},
-		"DRQ":   {Name: "DRQ", Kind: KindDRQ, PEs: 1692, BytesPerCycle: bandwidth, OnChipBytes: onChip, Utilization: 1, Mem: msys()},
-		"ODQ":   {Name: "ODQ", Kind: KindODQ, PEs: 4860, BytesPerCycle: bandwidth, OnChipBytes: onChip, Utilization: 1, Mem: msys()},
+		"INT16": {Name: "INT16", Kind: KindINT16, PEs: 120, Utilization: 1, Mem: mem.DefaultSystem()},
+		"INT8":  {Name: "INT8", Kind: KindINT8, PEs: 1692, Utilization: 1, Mem: mem.DefaultSystem()},
+		"DRQ":   {Name: "DRQ", Kind: KindDRQ, PEs: 1692, Utilization: 1, Mem: mem.DefaultSystem()},
+		"ODQ":   {Name: "ODQ", Kind: KindODQ, PEs: 4860, Utilization: 1, Mem: mem.DefaultSystem()},
 	}
 }
 
@@ -172,28 +157,9 @@ func peCycles(k Kind, p *quant.LayerProfile) int64 {
 // LayerCostOf models one layer on this accelerator from its profile.
 func (a *Accel) LayerCostOf(p *quant.LayerProfile) LayerCost {
 	wBits, aBits, oBits := operandBits(a.Kind)
-	g := p.Geom
-	weights := int64(g.OutC) * int64(g.InC) * int64(g.K) * int64(g.K)
-	inputs := int64(p.Batch) * int64(g.InC) * int64(g.InH) * int64(g.InW)
-	outputs := p.TotalOutputs
-
-	var dram, buffer, memCycles int64
-	if a.Mem != nil {
-		tr, err := a.Mem.ConvTraffic(g, p.Batch, wBits, aBits, oBits)
-		if err != nil {
-			panic(fmt.Sprintf("sim: memory model: %v", err))
-		}
-		dram, buffer, memCycles = tr.DRAMBytes, tr.BufferBytes, tr.DRAMCycles
-	} else {
-		wBytes := weights * int64(wBits) / 8
-		aBytes := inputs * int64(aBits) / 8
-		oBytes := outputs * int64(oBits) / 8
-		dram = wBytes + aBytes + oBytes
-		// On-chip traffic: weights stream into PE registers once;
-		// inputs are read once per kernel row thanks to the line
-		// buffers; outputs bounce through the output buffer twice.
-		buffer = wBytes + aBytes*int64(g.K) + 2*oBytes
-		memCycles = int64(float64(dram) / a.BytesPerCycle)
+	tr, err := a.Mem.ConvTraffic(p.Geom, p.Batch, wBits, aBits, oBits)
+	if err != nil {
+		panic(fmt.Sprintf("sim: memory model: %v", err))
 	}
 
 	pe := peCycles(a.Kind, p)
@@ -206,17 +172,17 @@ func (a *Accel) LayerCostOf(p *quant.LayerProfile) LayerCost {
 		compute = 1
 	}
 	total := compute
-	if memCycles > total {
-		total = memCycles
+	if tr.DRAMCycles > total {
+		total = tr.DRAMCycles
 	}
 	return LayerCost{
 		Name:          p.Name,
 		ComputeCycles: compute,
-		MemoryCycles:  memCycles,
+		MemoryCycles:  tr.DRAMCycles,
 		TotalCycles:   total,
 		PECycles:      pe,
-		DRAMBytes:     dram,
-		BufferBytes:   buffer,
+		DRAMBytes:     tr.DRAMBytes,
+		BufferBytes:   tr.BufferBytes,
 	}
 }
 

@@ -272,19 +272,48 @@ func TestODQUtilizationPipeline(t *testing.T) {
 			mask[i] = true
 		}
 	}
-	p := &quant.LayerProfile{
+	masked := &quant.LayerProfile{
 		Name: "c", Geom: g, Batch: 1,
 		TotalOutputs: total, SensitiveOutputs: total / 5,
 		TotalMACs: g.TotalMACs(), Mask: mask,
 	}
-	util, res, alloc := ODQUtilization(p)
-	if util <= 0 || util > 1 {
-		t.Fatalf("utilization %v out of range", util)
+	res, _ := SimulateLayerAuto(LayerWorkFromProfile(masked))
+	want := 1 - res.IdleFrac()
+	if want <= 0 || want >= 1 {
+		t.Fatalf("layer utilization %v should lie strictly inside (0,1)", want)
 	}
-	if res.Cycles == 0 {
-		t.Fatal("simulation did not run")
+	if got := ODQUtilization([]*quant.LayerProfile{masked}); got != want {
+		t.Fatalf("one masked layer: utilization %v, want %v", got, want)
 	}
-	if alloc.Predictor < MinPredictorArrays || alloc.Executor < MinExecutorArrays {
-		t.Fatalf("alloc %v violates slice structure", alloc)
+
+	// Two masked layers average by MACs.
+	g2 := tensor.Geometry(8, 8, 8, 32, 3, 1, 1)
+	mask2 := make([]bool, g2.TotalOutputs())
+	for i := range mask2 {
+		mask2[i] = i%3 != 0
+	}
+	masked2 := &quant.LayerProfile{
+		Name: "c2", Geom: g2, Batch: 1,
+		TotalOutputs: int64(len(mask2)), SensitiveOutputs: quant.MaskDensity(mask2),
+		TotalMACs: g2.TotalMACs(), Mask: mask2,
+	}
+	res2, _ := SimulateLayerAuto(LayerWorkFromProfile(masked2))
+	w1, w2 := float64(masked.TotalMACs), float64(masked2.TotalMACs)
+	mean := (want*w1 + (1-res2.IdleFrac())*w2) / (w1 + w2)
+	if got := ODQUtilization([]*quant.LayerProfile{masked, masked2}); math.Abs(got-mean) > 1e-12 {
+		t.Fatalf("two masked layers: utilization %v, want MAC-weighted %v", got, mean)
+	}
+
+	// A profile without a mask carries no per-OFM schedule: it neither
+	// counts toward the weighted mean nor dilutes it.
+	bare := profileWith(0.9, 0)
+	if got := ODQUtilization([]*quant.LayerProfile{bare, masked}); got != want {
+		t.Fatalf("mask-less profile changed the utilization: %v, want %v", got, want)
+	}
+	if got := ODQUtilization([]*quant.LayerProfile{bare}); got != 1 {
+		t.Fatalf("no masks: utilization %v, want 1", got)
+	}
+	if got := ODQUtilization(nil); got != 1 {
+		t.Fatalf("no profiles: utilization %v, want 1", got)
 	}
 }

@@ -33,11 +33,23 @@ func LayerWorkFromProfile(p *quant.LayerProfile) LayerWork {
 	return w
 }
 
-// ODQUtilization runs the reconfigurable-slice simulation for one layer
-// and returns the achieved PE utilization (1 − idle fraction) along with
-// the simulation result and the allocation chosen from Table 1.
-func ODQUtilization(p *quant.LayerProfile) (float64, SliceResult, AllocConfig) {
-	w := LayerWorkFromProfile(p)
-	res, alloc := SimulateLayerAuto(w)
-	return 1 - res.IdleFrac(), res, alloc
+// ODQUtilization derates the ODQ accelerator for scheduling losses: it
+// runs the reconfigurable-slice simulation (SimulateLayerAuto) on every
+// profile that carries a sensitivity mask and returns the mean achieved
+// PE utilization (1 − idle fraction), weighted by each layer's MACs. It
+// returns 1 when no profile has a mask.
+func ODQUtilization(profiles []*quant.LayerProfile) float64 {
+	var utilSum, wsum float64
+	for _, p := range profiles {
+		if len(p.Mask) == 0 {
+			continue
+		}
+		res, _ := SimulateLayerAuto(LayerWorkFromProfile(p))
+		utilSum += (1 - res.IdleFrac()) * float64(p.TotalMACs)
+		wsum += float64(p.TotalMACs)
+	}
+	if wsum == 0 {
+		return 1
+	}
+	return utilSum / wsum
 }
