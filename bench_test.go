@@ -1,5 +1,6 @@
 // Package repro_bench holds the kernel micro-benchmarks: float and
-// integer GEMM, im2col, one ODQ conv layer at pinned sensitive fractions
+// integer GEMM, the implicit-GEMM convolutions, one ODQ conv layer at
+// pinned sensitive fractions
 // (sparse, serial and dense-reference executors), and the Table-2 energy
 // model. The end-to-end benchmark — whole networks through infer.Session
 // and whole requests through the server — is bench/ (bash bench/run.sh).
@@ -59,14 +60,48 @@ func BenchmarkGemmInt(b *testing.B) {
 	}
 }
 
-func BenchmarkIm2col(b *testing.B) {
-	g := tensor.Geometry(16, 32, 32, 32, 3, 1, 1)
-	src := make([]float32, 16*32*32)
-	dst := make([]float32, g.ColRows()*g.ColCols())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Im2col(src, g, dst)
+// BenchmarkConvGemm runs one sample through the implicit-GEMM
+// convolutions at the benchmark workloads' stage-1 shapes: the float
+// forward and weight gradient of resnet20-train-dp2 (width 0.25, C 4→4,
+// 32×32, K 3) and the stacked [hi; lo] int-GEMM (m = 2·OutC) of
+// resnet20-dense's high-density executor branch (width 0.5, C 8→8).
+func BenchmarkConvGemm(b *testing.B) {
+	rng := tensor.NewRNG(4)
+	gf := tensor.Geometry(4, 32, 32, 4, 3, 1, 1)
+	x := make([]float32, gf.InC*gf.InH*gf.InW)
+	w := make([]float32, gf.OutC*gf.ColRows())
+	out := make([]float32, gf.OutC*gf.ColCols())
+	for i := range x {
+		x[i] = float32(rng.Normal())
 	}
+	for i := range w {
+		w[i] = float32(rng.Normal())
+	}
+	b.Run("forward-c4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.ConvGemm(w, x, gf, out, nil)
+		}
+	})
+	b.Run("dw-c4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.ConvGemmNT(out, x, gf, w)
+		}
+	})
+	gi := tensor.Geometry(8, 32, 32, 8, 3, 1, 1)
+	xi := make([]int32, gi.InC*gi.InH*gi.InW)
+	wi := make([]int32, 2*gi.OutC*gi.ColRows())
+	acc := make([]int64, 2*gi.OutC*gi.ColCols())
+	for i := range xi {
+		xi[i] = int32(rng.Intn(4))
+	}
+	for i := range wi {
+		wi[i] = int32(rng.Intn(7)) - 3
+	}
+	b.Run("int-hilo-c8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.ConvGemmInt(wi, xi, gi, acc, 2*gi.OutC)
+		}
+	})
 }
 
 // ---------- ODQ sparse-executor benches ----------

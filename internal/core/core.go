@@ -178,18 +178,22 @@ func (e *Exec) lowBits() int { return e.bits - e.predBits }
 // bit-planar forms the sparse kernels consume (one row per output
 // channel, InC·K·K lanes in the (kh, kw, c) order of
 // tensor.PackConvRows). The bitplanes are skipped on the dense reference
-// path, which reads the row-major int32 codes directly; the high-density
-// executor branch also reads the row-major codes, as the A operand of its
-// wide int-GEMM partials.
+// path, which reads the row-major int32 codes directly. hi and lo are the
+// two halves of hiLo, the stacked row-major [hi; lo] code matrix
+// (2·OutC rows): the A operand that gives the high-density executor
+// branch LH and LL from one int-GEMM.
 type weightCodes struct {
 	hi, lo     *tensor.IntTensor
+	hiLo       []int32
 	hiBP, loBP *tensor.Bitplanes
 }
 
 func (e *Exec) buildWeightCodes(layer *nn.Conv2D) *weightCodes {
 	q := quant.WeightCodes(layer.EffectiveWeight(), e.bits)
-	hi, lo := quant.SplitCodesRounded(q, e.lowBits(), true)
-	wc := &weightCodes{hi: hi, lo: lo}
+	n := len(q.Data)
+	hiLo := make([]int32, 2*n)
+	hi, lo := quant.SplitCodesRoundedInto(hiLo[:n:n], hiLo[n:], q, e.lowBits(), true)
+	wc := &weightCodes{hi: hi, lo: lo, hiLo: hiLo}
 	if !e.dense {
 		outC, inC, k := hi.Shape[0], hi.Shape[1], hi.Shape[2]
 		lanes := inC * k * k
@@ -496,10 +500,11 @@ const bitplaneGEMMCutover = 0.45
 // (tensor.BitplaneMulRow), and the executor computes the three remaining
 // partials only as directed by the realized mask — fused per-output
 // bitplane dots (tensor.BitplaneDot3) at low density, wide int-GEMM
-// partials (weight codes × im2col, the same orientation the dense path
-// uses) above bitplaneGEMMCutover. Exact integer arithmetic end to end
-// keeps it bit-identical to the dense reference; the shared fuse() keeps
-// the float combination identical. Writes requantized codes directly
+// partials above bitplaneGEMMCutover: HL = lo·im2col(xh) and the stacked
+// [LH; LL] = [hi; lo]·im2col(xl), two implicit GEMMs (tensor.ConvGemmInt)
+// that pack their panels straight from the codes. Exact integer
+// arithmetic end to end keeps it bit-identical to the dense reference;
+// the shared fuse() keeps the float combination identical. Writes requantized codes directly
 // when ev is non-nil (fused epilogue), float partial sums into out
 // otherwise. Returns the sensitive count.
 //
@@ -543,14 +548,10 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 		sampleBase := s * perSample
 		if float64(sens) >= bitplaneGEMMCutover*float64(perSample) {
 			hlAcc := tensor.GetInt64(perSample)
-			lhAcc := tensor.GetInt64(perSample)
-			llAcc := tensor.GetInt64(perSample)
-			colBuf := tensor.GetInt32(rows * cols)
-			tensor.Im2colInt(xh, g, colBuf)
-			tensor.GemmInt(wc.lo.Data, colBuf, hlAcc, outC, rows, cols)
-			tensor.Im2colInt(xl, g, colBuf)
-			tensor.GemmInt(wc.hi.Data, colBuf, lhAcc, outC, rows, cols)
-			tensor.GemmInt(wc.lo.Data, colBuf, llAcc, outC, rows, cols)
+			lhll := tensor.GetInt64(2 * perSample)
+			tensor.ConvGemmInt(wc.lo.Data, xh, g, hlAcc, outC)
+			tensor.ConvGemmInt(wc.hiLo, xl, g, lhll, 2*outC)
+			lhAcc, llAcc := lhll[:perSample], lhll[perSample:]
 			pool.ParallelLimited(inner, outC, func(oc int) {
 				for i := oc * cols; i < (oc+1)*cols; i++ {
 					v := float32(predAcc[i]) * predScale
@@ -564,10 +565,8 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 					}
 				}
 			})
-			tensor.PutInt32(colBuf)
 			tensor.PutInt64(hlAcc)
-			tensor.PutInt64(lhAcc)
-			tensor.PutInt64(llAcc)
+			tensor.PutInt64(lhll)
 		} else {
 			xlBP := &tensor.Bitplanes{R: cols, L: rows, P: lowBits + 1, W: tensor.BitplaneWords(rows), Signed: true,
 				Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, lowBits+1))}

@@ -417,14 +417,11 @@ func meanMagnitude(x *tensor.Tensor) float32 {
 // floatConv is a reference float convolution used by the instrumentation.
 func floatConv(x, w *tensor.Tensor, g tensor.ConvGeom) *tensor.Tensor {
 	n := x.Shape[0]
-	rows, cols := g.ColRows(), g.ColCols()
+	cols := g.ColCols()
 	out := tensor.New(n, g.OutC, g.OutH, g.OutW)
 	per := g.InC * g.InH * g.InW
 	tensor.DefaultPool().ParallelN(n, func(s int) {
-		buf := tensor.GetFloat32(rows * cols)
-		tensor.Im2col(x.Data[s*per:(s+1)*per], g, buf)
-		tensor.Gemm(w.Data, buf, out.Data[s*g.OutC*cols:(s+1)*g.OutC*cols], g.OutC, rows, cols)
-		tensor.PutFloat32(buf)
+		tensor.ConvGemm(w.Data, x.Data[s*per:(s+1)*per], g, out.Data[s*g.OutC*cols:(s+1)*g.OutC*cols], nil)
 	})
 	return out
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // TestConvTrainStepSteadyStateAllocs pins the allocation behavior of the
-// training convolution: the per-sample im2col, dCols and weight-gradient
-// buffers (and the seed's transpose buffers, which no longer exist) must
-// come from the shared scratch pools, not fresh make calls. The inherent
+// training convolution: the per-sample dCols, weight-gradient and GEMM
+// panel buffers must come from the shared scratch pools, not fresh make
+// calls (the seed's im2col and transpose buffers no longer exist). The inherent
 // per-step allocations are the output and input-gradient tensors
 // (~inherentBytes); the seed implementation allocated several megabytes of
 // per-sample scratch on top. The bound sits between the two, so a
@@ -58,30 +58,4 @@ func TestConvTrainStepSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("train step allocates %d B/op, want <= %d (inherent %d): per-sample scratch is not being pooled",
 			got, limit, inherentBytes)
 	}
-}
-
-// TestConvTrainCachedColsRightSized checks that the im2col buffers a
-// training forward keeps until backward are sized to the layer, even
-// after a large GEMM has pooled its pack buffers: a train step holds one
-// per sample and conv, so an oversized reused buffer multiplies the
-// training heap.
-func TestConvTrainCachedColsRightSized(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	const m, k, n = 64, 300, 2048
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	tensor.Gemm(a, b, make([]float32, m*n), m, k, n)
-
-	conv := NewConv2D("c", 4, 8, 3, 1, 1, false, rng)
-	x := tensor.New(4, 4, 12, 12)
-	rng.FillUniform(x, -1, 1)
-	conv.Forward(x, true)
-	g := conv.Geom(12, 12)
-	want := g.ColRows() * g.ColCols()
-	for s, cb := range conv.colsB {
-		if 4*cap(cb) > 5*want {
-			t.Fatalf("sample %d caches an im2col buffer of capacity %d for %d values, want <= 1.25x", s, cap(cb), want)
-		}
-	}
-	conv.Backward(tensor.New(4, 8, 12, 12))
 }

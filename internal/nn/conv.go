@@ -55,7 +55,6 @@ type Conv2D struct {
 	qX    *tensor.Tensor // post-activation-quant input actually convolved
 	qW    *tensor.Tensor // post-weight-quant weights actually convolved
 	geomN tensor.ConvGeom
-	colsB [][]float32 // per-sample im2col buffers cached for backward
 }
 
 // NewConv2D builds a convolution layer. bias toggles the additive bias.
@@ -111,36 +110,27 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Shape[0]
 	g := c.Geom(x.Shape[2], x.Shape[3])
 	out := tensor.New(n, g.OutC, g.OutH, g.OutW)
-	rows, cols := g.ColRows(), g.ColCols()
+	cols := g.ColCols()
 	if train {
 		c.inX = x
 		c.qX = qx
 		c.qW = qw
 		c.geomN = g
-		c.colsB = make([][]float32, n)
 	}
 	per := c.InC * g.InH * g.InW
 	// The bias rides along as a GEMM epilogue (row initialization) unless
 	// a TrainExec will replace this output, in which case the bias must be
 	// added to the substituted value instead.
-	foldBias := c.Bias != nil && !(train && c.TrainExec != nil)
-	// Samples are independent: fan the per-sample im2col+GEMM out on the
-	// shared worker pool with pooled scratch. In training mode the im2col
-	// buffers are retained for Backward (which recycles them).
+	var bias []float32
+	if c.Bias != nil && !(train && c.TrainExec != nil) {
+		bias = c.Bias.W.Data
+	}
+	// Samples are independent: fan the per-sample implicit GEMM out on
+	// the shared worker pool. It packs its panels straight from the
+	// sample's input, so no im2col matrix is built, and Backward
+	// re-reads the cached qX instead of keeping one.
 	tensor.DefaultPool().ParallelN(n, func(s int) {
-		cb := tensor.GetFloat32(rows * cols)
-		tensor.Im2col(qx.Data[s*per:(s+1)*per], g, cb)
-		outS := out.Data[s*g.OutC*cols : (s+1)*g.OutC*cols]
-		if foldBias {
-			tensor.GemmBiasRow(qw.Data, cb, outS, c.Bias.W.Data, g.OutC, rows, cols)
-		} else {
-			tensor.Gemm(qw.Data, cb, outS, g.OutC, rows, cols)
-		}
-		if train {
-			c.colsB[s] = cb
-		} else {
-			tensor.PutFloat32(cb)
-		}
+		tensor.ConvGemm(qw.Data, qx.Data[s*per:(s+1)*per], g, out.Data[s*g.OutC*cols:(s+1)*g.OutC*cols], bias)
 	})
 	if train && c.TrainExec != nil {
 		// Straight-through: forward the executor's value; the cached
@@ -175,12 +165,14 @@ func (c *Conv2D) addBias(out *tensor.Tensor) {
 // weight-gradient contribution into pooled scratch (reduced serially in
 // sample order afterwards, so results stay deterministic regardless of
 // worker count) and scatters its input gradient into a disjoint slice of
-// dX. The transpose buffers of the seed implementation are gone — GemmNT
-// and GemmTN absorb both transposes in their packing pass.
+// dX. No transpose or im2col buffer is built for dW: ConvGemmNT packs the
+// transposed im2col panels straight from the cached input, and GemmTN
+// absorbs Wᵀ in its packing pass. dX goes through a dCols matrix and
+// Col2im, which adds into each input element in a fixed order.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	sp := telemetry.StartSpan("nn.conv.backward")
 	defer sp.End()
-	if c.colsB == nil {
+	if c.qX == nil {
 		panic("nn: Conv2D.Backward without cached forward")
 	}
 	g := c.geomN
@@ -206,13 +198,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dWs := make([][]float32, n)
 	tensor.DefaultPool().ParallelN(n, func(s int) {
 		gs := grad.Data[s*g.OutC*cols : (s+1)*g.OutC*cols]
-		// dW_s = gs · colsᵀ  (OutC×cols · cols×rows), transpose absorbed
-		// by GemmNT packing.
+		// dW_s = gs · im2col(qX_s)ᵀ  (OutC×cols · cols×rows).
 		dw := tensor.GetFloat32(g.OutC * rows)
 		for i := range dw {
 			dw[i] = 0
 		}
-		tensor.GemmNT(gs, c.colsB[s], dw, g.OutC, cols, rows)
+		tensor.ConvGemmNT(gs, c.qX.Data[s*per:(s+1)*per], g, dw)
 		dWs[s] = dw
 		// dCols = Wᵀ · gs  (rows×OutC · OutC×cols), transpose absorbed by
 		// GemmTN packing.
@@ -223,8 +214,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		tensor.GemmTN(c.qW.Data, gs, dCols, rows, g.OutC, cols)
 		tensor.Col2im(dCols, g, dX.Data[s*per:(s+1)*per])
 		tensor.PutFloat32(dCols)
-		tensor.PutFloat32(c.colsB[s])
-		c.colsB[s] = nil
 	})
 	wg := c.Weight.Grad.Data[:g.OutC*rows]
 	for s := 0; s < n; s++ {
@@ -238,7 +227,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.ActQuant != nil && !c.DisableActQuant && !c.QuantRelaxed {
 		dX = c.ActQuant.Backward(dX, c.inX)
 	}
-	c.colsB = nil
+	c.inX, c.qX, c.qW = nil, nil, nil
 	return dX
 }
 

@@ -423,23 +423,20 @@ func AccumGeometry(x, w *tensor.IntTensor, stride, pad int) tensor.ConvGeom {
 
 // ConvAccumInto is ConvAccum writing into a caller-provided accumulator
 // (len >= batch * TotalOutputs), so hot paths can reuse pooled scratch.
-// The im2col expansion itself runs on a pooled buffer, so steady-state
-// calls allocate nothing.
+// Each sample runs one implicit int-GEMM (tensor.ConvGemmInt), which
+// packs its panels straight from the codes, so steady-state calls
+// allocate nothing.
 func ConvAccumInto(acc []int64, x, w *tensor.IntTensor, stride, pad int) tensor.ConvGeom {
 	g := AccumGeometry(x, w, stride, pad)
 	n := x.Shape[0]
-	rows, cols := g.ColRows(), g.ColCols()
+	cols := g.ColCols()
 	if len(acc) < n*g.OutC*cols {
 		panic("quant: ConvAccumInto accumulator too small")
 	}
 	per := g.InC * g.InH * g.InW
-	// Samples are independent: fan the per-sample im2col+GemmInt out on
-	// the shared worker pool, each with its own pooled scratch buffer.
+	// Samples are independent: fan them out on the shared worker pool.
 	tensor.DefaultPool().ParallelN(n, func(s int) {
-		buf := tensor.GetInt32(rows * cols)
-		tensor.Im2colInt(x.Data[s*per:(s+1)*per], g, buf)
-		tensor.GemmInt(w.Data, buf, acc[s*g.OutC*cols:(s+1)*g.OutC*cols], g.OutC, rows, cols)
-		tensor.PutInt32(buf)
+		tensor.ConvGemmInt(w.Data, x.Data[s*per:(s+1)*per], g, acc[s*g.OutC*cols:(s+1)*g.OutC*cols], g.OutC)
 	})
 	return g
 }

@@ -7,23 +7,26 @@ package tensor
 // into one BLIS-style loop nest: the operands are packed into
 // microkernel-sized panels (zero-padded at the tails), blocked MC×KC×NC to
 // keep the A block in L2 and each B panel in L1, and the innermost tile is
-// computed by a register-resident MR×NR microkernel. On amd64 with
-// AVX2+FMA (detected at runtime) the float microkernel is a 6×16
-// fused-multiply-add kernel (partial tiles run its unfused twin into a
-// stack tile) and the integer microkernel a 2×8 VPMULDQ kernel;
-// elsewhere a scalar register-tiled fallback runs.
+// computed by a register-resident MR×NR microkernel. The B operand is a
+// strided matrix or, for convolutions, one sample's input read as its
+// im2col matrix, whose panels are packed straight from the input
+// (conv.go). On amd64 with AVX2+FMA (detected at runtime) the float
+// microkernel is a 6×16 fused-multiply-add kernel (partial tiles run its
+// unfused twin into a stack tile) and the integer microkernel a 2×8
+// VPMULDQ kernel; elsewhere a scalar register-tiled fallback runs.
 //
 // Numerical contract:
-//   - float kernels (Gemm, GemmAcc, GemmTN, GemmNT, GemmBiasRow) may
+//   - float kernels (Gemm, GemmTN, GemmNT, ConvGemm, ConvGemmNT) may
 //     reassociate the reduction (blocking reorders additions, FMA keeps
 //     extra intermediate precision), so results can differ from the naive
 //     ikj loop by normal float32 rounding. Results are deterministic for a
 //     given machine and shape, and identical between serial and parallel
 //     execution (the reduction order per output element never depends on
 //     the worker count).
-//   - integer kernels (GemmInt) are bit-exact: integer addition is
-//     associative, so any blocking order yields the same accumulators as
-//     the naive loop. The ODQ sparse/dense `==` parity tests rely on this.
+//   - integer kernels (GemmInt, ConvGemmInt) are bit-exact: integer
+//     addition is associative, so any blocking order yields the same
+//     accumulators as the naive loop. The ODQ sparse/dense `==` parity
+//     tests rely on this.
 //
 // The naive ikj kernels in gemm_kernel_test.go are the parity oracles for
 // the randomized kernel tests. End to end, float GEMM cost shows up in
@@ -69,8 +72,11 @@ func gemmMCFor(mr int) int {
 }
 
 // gemmMaxTile bounds MR*NR across all microkernel shapes (edge tiles are
-// accumulated in a stack tile of this size).
-const gemmMaxTile = 6 * 16
+// accumulated in a stack tile of this size), and gemmMaxNR bounds NR.
+const (
+	gemmMaxTile = 6 * 16
+	gemmMaxNR   = 16
+)
 
 func minInt(a, b int) int {
 	if a < b {
@@ -104,46 +110,7 @@ func Gemm(a, b, c []float32, m, k, n int) {
 	if k == 0 {
 		return
 	}
-	gemmF32(a, k, 1, b, n, 1, c, m, k, n)
-}
-
-// GemmAcc computes C += A*B (no zeroing); used by backprop accumulation
-// paths. Degenerate shapes (m, k or n zero) leave C untouched.
-func GemmAcc(a, b, c []float32, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("tensor: GemmAcc buffer too small")
-	}
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	gemmF32(a, k, 1, b, n, 1, c, m, k, n)
-}
-
-// GemmBiasRow computes C = A*B + bias broadcast across rows (bias[i] is
-// added to every element of row i). This is the convolution epilogue: the
-// bias lands in C during the initialization pass, so no separate
-// whole-output bias sweep is needed.
-func GemmBiasRow(a, b, c, bias []float32, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("tensor: GemmBiasRow buffer too small")
-	}
-	if len(bias) < m {
-		panic("tensor: GemmBiasRow bias too small")
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	for i := 0; i < m; i++ {
-		ci := c[i*n : (i+1)*n]
-		bv := bias[i]
-		for j := range ci {
-			ci[j] = bv
-		}
-	}
-	if k == 0 {
-		return
-	}
-	gemmF32(a, k, 1, b, n, 1, c, m, k, n)
+	gemmF32(a, k, 1, matB(b, n, 1), c, m, k, n)
 }
 
 // GemmTN computes C += Aᵀ*B where A is k×m row-major (so Aᵀ is m×k), B is
@@ -157,7 +124,7 @@ func GemmTN(a, b, c []float32, m, k, n int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	gemmF32(a, 1, m, b, n, 1, c, m, k, n)
+	gemmF32(a, 1, m, matB(b, n, 1), c, m, k, n)
 }
 
 // GemmNT computes C += A*Bᵀ where A is m×k, B is n×k row-major (so Bᵀ is
@@ -170,15 +137,64 @@ func GemmNT(a, b, c []float32, m, k, n int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	gemmF32(a, k, 1, b, 1, k, c, m, k, n)
+	gemmF32(a, k, 1, matB(b, 1, k), c, m, k, n)
+}
+
+// ---- B operands ----
+
+// gemmB is a blocked core's k×n B operand, which only its packer reads:
+// a strided matrix, B̅[p][j] = data[p*rs + j*cs] (rs, cs express plain
+// and transposed operands), or one sample's [C,H,W] input read as its
+// im2col matrix (im2col) or that matrix's transpose (im2colT).
+type gemmB[T float32 | int32] struct {
+	data   []T
+	rs, cs int
+	kind   int
+	g      ConvGeom
+}
+
+// gemmB kinds.
+const (
+	bMatrix = iota
+	bIm2col
+	bIm2colT
+)
+
+// matB is the strided matrix operand B̅[p][j] = b[p*rs + j*cs].
+func matB[T float32 | int32](b []T, rs, cs int) gemmB[T] {
+	return gemmB[T]{data: b, rs: rs, cs: cs}
+}
+
+// convB is the im2col matrix of the [C,H,W] input x, or with trans its
+// transpose.
+func convB[T float32 | int32](x []T, g ConvGeom, trans bool) gemmB[T] {
+	b := gemmB[T]{data: x, kind: bIm2col, g: g}
+	if trans {
+		b.kind = bIm2colT
+	}
+	return b
+}
+
+// pack packs rows [pc,pc+kc) × cols [jc,jc+nc) of B̅ into nr-column
+// panels laid out panel-major [p][j]; tail columns are zero-padded. Every
+// source yields the values of the materialized matrix in the same slots.
+func (b *gemmB[T]) pack(pc, kc, jc, nc, nr int, dst []T) {
+	switch b.kind {
+	case bIm2col:
+		packConvB(b.data, &b.g, pc, kc, jc, nc, nr, dst)
+	case bIm2colT:
+		packConvBT(b.data, &b.g, pc, kc, jc, nc, nr, dst)
+	default:
+		packMatB(b.data, b.rs, b.cs, pc, kc, jc, nc, nr, dst)
+	}
 }
 
 // ---- Float32 blocked core ----
 
-// gemmF32 accumulates C += A̅·B̅ where A̅[i][p] = a[i*ars + p*acs] and
-// B̅[p][j] = b[p*brs + j*bcs]. The stride pairs express plain and
-// transposed operands with one packing pass each.
-func gemmF32(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, m, k, n int) {
+// gemmF32 accumulates C += A̅·B̅ where A̅[i][p] = a[i*ars + p*acs] and B̅
+// is b. The stride pair expresses plain and transposed A with one
+// packing pass.
+func gemmF32(a []float32, ars, acs int, b gemmB[float32], c []float32, m, k, n int) {
 	mr, nr := gemmMR, gemmNR
 	pool := gemmPool()
 	parallel := pool.Size() > 1 && m*k*n >= gemmParallelThreshold
@@ -201,7 +217,7 @@ func gemmF32(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, 
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := minInt(gemmKC, k-pc)
 			spPack := telemetry.StartSpan("gemm.pack")
-			packF32B(b, brs, bcs, pc, kc, jc, nc, nr, bp)
+			b.pack(pc, kc, jc, nc, nr, bp)
 			spPack.End()
 			spKern := telemetry.StartSpan("gemm.kernel")
 			blocks := (m + gemmMC - 1) / gemmMC
@@ -209,7 +225,7 @@ func gemmF32(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, 
 				ic := blk * gemmMC
 				mc := minInt(gemmMC, m-ic)
 				ap := GetFloat32(apLen)
-				packF32A(a, ars, acs, ic, mc, pc, kc, mr, ap)
+				packA(a, ars, acs, ic, mc, pc, kc, mr, ap)
 				for ir := 0; ir < mc; ir += mr {
 					h := minInt(mr, mc-ir)
 					apan := ap[(ir/mr)*kc*mr:]
@@ -248,9 +264,10 @@ func gemmF32(a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, 
 // read in full.
 func roundUp(n, r int) int { return (n + r - 1) / r * r }
 
-// packF32A packs rows [ic,ic+mc) × cols [pc,pc+kc) of A̅ into mr-row
-// panels laid out panel-major [p][r]; tail rows are zero-padded.
-func packF32A(a []float32, rs, cs int, ic, mc, pc, kc, mr int, dst []float32) {
+// packA packs rows [ic,ic+mc) × cols [pc,pc+kc) of A̅[i][p] =
+// a[i*rs + p*cs] into mr-row panels laid out panel-major [p][r]; tail
+// rows are zero-padded.
+func packA[T float32 | int32](a []T, rs, cs int, ic, mc, pc, kc, mr int, dst []T) {
 	for i0 := 0; i0 < mc; i0 += mr {
 		h := minInt(mr, mc-i0)
 		pan := dst[(i0/mr)*kc*mr:]
@@ -279,9 +296,10 @@ func packF32A(a []float32, rs, cs int, ic, mc, pc, kc, mr int, dst []float32) {
 	}
 }
 
-// packF32B packs rows [pc,pc+kc) × cols [jc,jc+nc) of B̅ into nr-column
-// panels laid out panel-major [p][j]; tail columns are zero-padded.
-func packF32B(b []float32, rs, cs int, pc, kc, jc, nc, nr int, dst []float32) {
+// packMatB packs rows [pc,pc+kc) × cols [jc,jc+nc) of the strided matrix
+// B̅[p][j] = b[p*rs + j*cs] into nr-column panels laid out panel-major
+// [p][j]; tail columns are zero-padded.
+func packMatB[T float32 | int32](b []T, rs, cs int, pc, kc, jc, nc, nr int, dst []T) {
 	for j0 := 0; j0 < nc; j0 += nr {
 		w := minInt(nr, nc-j0)
 		pan := dst[(j0/nr)*kc*nr:]
@@ -407,10 +425,11 @@ func GemmInt(a, b []int32, c []int64, m, k, n int) {
 	if k == 0 {
 		return
 	}
-	gemmIntCore(a, b, c, m, k, n)
+	gemmIntCore(a, matB(b, n, 1), c, m, k, n)
 }
 
-func gemmIntCore(a, b []int32, c []int64, m, k, n int) {
+// gemmIntCore accumulates C += A·B̅ over int32 codes, A row-major m×k.
+func gemmIntCore(a []int32, b gemmB[int32], c []int64, m, k, n int) {
 	mr, nr := gemmMRI, gemmNRI
 	pool := gemmPool()
 	parallel := pool.Size() > 1 && m*k*n >= gemmParallelThreshold
@@ -433,7 +452,7 @@ func gemmIntCore(a, b []int32, c []int64, m, k, n int) {
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := minInt(gemmKC, k-pc)
 			spPack := telemetry.StartSpan("gemm.pack")
-			packIntB(b, n, pc, kc, jc, nc, nr, bp)
+			b.pack(pc, kc, jc, nc, nr, bp)
 			spPack.End()
 			spKern := telemetry.StartSpan("gemm.kernel")
 			blocks := (m + gemmMCI - 1) / gemmMCI
@@ -441,7 +460,7 @@ func gemmIntCore(a, b []int32, c []int64, m, k, n int) {
 				ic := blk * gemmMCI
 				mc := minInt(gemmMCI, m-ic)
 				ap := GetInt32(apLen)
-				packIntA(a, k, ic, mc, pc, kc, mr, ap)
+				packA(a, k, 1, ic, mc, pc, kc, mr, ap)
 				for ir := 0; ir < mc; ir += mr {
 					h := minInt(mr, mc-ir)
 					apan := ap[(ir/mr)*kc*mr:]
@@ -471,47 +490,6 @@ func gemmIntCore(a, b []int32, c []int64, m, k, n int) {
 		}
 	}
 	PutInt32(bp)
-}
-
-// packIntA packs rows [ic,ic+mc) × cols [pc,pc+kc) of row-major A into
-// mr-row panels, zero-padding tail rows.
-func packIntA(a []int32, lda, ic, mc, pc, kc, mr int, dst []int32) {
-	for i0 := 0; i0 < mc; i0 += mr {
-		h := minInt(mr, mc-i0)
-		pan := dst[(i0/mr)*kc*mr:]
-		for r := 0; r < h; r++ {
-			src := a[(ic+i0+r)*lda+pc:]
-			for p := 0; p < kc; p++ {
-				pan[p*mr+r] = src[p]
-			}
-		}
-		if h < mr {
-			for p := 0; p < kc; p++ {
-				for r := h; r < mr; r++ {
-					pan[p*mr+r] = 0
-				}
-			}
-		}
-	}
-}
-
-// packIntB packs rows [pc,pc+kc) × cols [jc,jc+nc) of row-major B into
-// nr-column panels, zero-padding tail columns.
-func packIntB(b []int32, ldb, pc, kc, jc, nc, nr int, dst []int32) {
-	for j0 := 0; j0 < nc; j0 += nr {
-		w := minInt(nr, nc-j0)
-		pan := dst[(j0/nr)*kc*nr:]
-		for p := 0; p < kc; p++ {
-			src := b[(pc+p)*ldb+jc+j0:]
-			d := pan[p*nr : p*nr+nr]
-			for j := 0; j < w; j++ {
-				d[j] = src[j]
-			}
-			for j := w; j < nr; j++ {
-				d[j] = 0
-			}
-		}
-	}
 }
 
 // microIntAcc2x4 is the scalar integer microkernel for full 2×4 tiles.

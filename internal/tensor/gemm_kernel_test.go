@@ -157,7 +157,8 @@ func TestGemmTiledMatchesNaive(t *testing.T) {
 }
 
 // TestGemmAccTiledMatchesNaive seeds C with nonzero values and checks the
-// accumulating kernel.
+// accumulating blocked core (C += A·B, the core GemmTN, GemmNT and
+// ConvGemmNT run).
 func TestGemmAccTiledMatchesNaive(t *testing.T) {
 	rng := NewRNG(13)
 	for _, sh := range kernelShapes() {
@@ -170,9 +171,9 @@ func TestGemmAccTiledMatchesNaive(t *testing.T) {
 		want := make([]float32, m*n)
 		fillRandF32(rng, want)
 		copy(got, want)
-		GemmAcc(a, b, got, m, k, n)
+		gemmF32(a, k, 1, matB(b, n, 1), got, m, k, n)
 		gemmAccNaive(a, b, want, m, k, n)
-		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("GemmAcc %dx%dx%d", m, k, n))
+		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("gemmF32 acc %dx%dx%d", m, k, n))
 	}
 }
 
@@ -251,28 +252,40 @@ func TestGemmNTMatchesMaterializedTranspose(t *testing.T) {
 	}
 }
 
-// TestGemmBiasRowMatchesGemmPlusBias checks the bias epilogue against an
-// explicit Gemm followed by a row-broadcast add.
+// TestGemmBiasRowMatchesGemmPlusBias checks ConvGemm's bias rows against
+// an explicit Gemm over the im2col matrix followed by a row-broadcast add:
+// first as plain m×k×n products (a 1×1 kernel over a 1×n input, whose
+// im2col matrix is the input itself), then on every convCases geometry.
 func TestGemmBiasRowMatchesGemmPlusBias(t *testing.T) {
 	rng := NewRNG(29)
+	var geoms []ConvGeom
 	for _, sh := range [][3]int{{1, 1, 1}, {7, 11, 13}, {37, 53, 61}, {64, 576, 96}} {
 		m, k, n := sh[0], sh[1], sh[2]
-		a := make([]float32, m*k)
-		b := make([]float32, k*n)
+		geoms = append(geoms, Geometry(k, 1, n, m, 1, 1, 0))
+	}
+	for _, cc := range convCases {
+		geoms = append(geoms, cc.geom())
+	}
+	for _, g := range geoms {
+		m, k, n := g.OutC, g.ColRows(), g.ColCols()
+		w := make([]float32, m*k)
+		x := make([]float32, g.InC*g.InH*g.InW)
 		bias := make([]float32, m)
-		fillRandF32(rng, a)
-		fillRandF32(rng, b)
+		fillRandF32(rng, w)
+		fillRandF32(rng, x)
 		fillRandF32(rng, bias)
 		got := make([]float32, m*n)
 		want := make([]float32, m*n)
-		GemmBiasRow(a, b, got, bias, m, k, n)
-		Gemm(a, b, want, m, k, n)
+		ConvGemm(w, x, g, got, bias)
+		cols := make([]float32, k*n)
+		Im2col(x, g, cols)
+		Gemm(w, cols, want, m, k, n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				want[i*n+j] += bias[i]
 			}
 		}
-		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("GemmBiasRow %dx%dx%d", m, k, n))
+		assertCloseF32(t, got, want, 1e-4, fmt.Sprintf("ConvGemm bias %+v", g))
 	}
 }
 
@@ -357,23 +370,29 @@ func TestPartialTileKernelMatchesScalar(t *testing.T) {
 // TestGemmDegenerateShapes exercises every entry point with zero
 // dimensions. The seed implementation divided by a row-block count derived
 // from m, so m==0 crashed; now all entry points must be no-ops with the
-// documented C semantics.
+// documented C semantics. The conv entry points get m = 0 from OutC 0,
+// n = 0 from a 0×0 output and k = 0 from InC 0.
 func TestGemmDegenerateShapes(t *testing.T) {
 	a := []float32{1, 2, 3, 4}
 	b := []float32{5, 6, 7, 8}
 	bias := []float32{9, 9}
 	ai := []int32{1, 2, 3, 4}
 	bi := []int32{5, 6, 7, 8}
+	// A 1×1 kernel over a 1×2 input: m = OutC, k = InC, n = 2.
+	geom := func(m, k, n int) ConvGeom {
+		return ConvGeom{InC: k, InH: 1, InW: n, OutC: m, OutH: 1, OutW: n, K: 1, Stride: 1}
+	}
 
 	t.Run("m=0", func(t *testing.T) {
 		c := []float32{42, 42}
 		Gemm(a, b, c, 0, 2, 2)
-		GemmAcc(a, b, c, 0, 2, 2)
-		GemmBiasRow(a, b, c, bias, 0, 2, 2)
 		GemmTN(a, b, c, 0, 2, 2)
 		GemmNT(a, b, c, 0, 2, 2)
+		ConvGemm(a, b, geom(0, 2, 2), c, bias)
+		ConvGemmNT(a, b, geom(0, 2, 2), c)
 		ci := []int64{42, 42}
 		GemmInt(ai, bi, ci, 0, 2, 2)
+		ConvGemmInt(ai, bi, geom(0, 2, 2), ci, 0)
 		if c[0] != 42 || ci[0] != 42 {
 			t.Fatalf("m=0 must leave C untouched, got %v %v", c, ci)
 		}
@@ -381,49 +400,62 @@ func TestGemmDegenerateShapes(t *testing.T) {
 	t.Run("n=0", func(t *testing.T) {
 		c := []float32{42, 42}
 		Gemm(a, b, c, 2, 2, 0)
-		GemmAcc(a, b, c, 2, 2, 0)
-		GemmBiasRow(a, b, c, bias, 2, 2, 0)
 		GemmTN(a, b, c, 2, 2, 0)
 		GemmNT(a, b, c, 2, 2, 0)
+		ConvGemm(a, b, geom(2, 2, 0), c, bias)
+		ConvGemmNT(a, b, geom(2, 0, 2), c) // dW: n = C·K·K = 0 taps
 		ci := []int64{42, 42}
 		GemmInt(ai, bi, ci, 2, 2, 0)
+		ConvGemmInt(ai, bi, geom(2, 2, 0), ci, 2)
 		if c[0] != 42 || ci[0] != 42 {
 			t.Fatalf("n=0 must leave C untouched, got %v %v", c, ci)
 		}
 	})
 	t.Run("k=0", func(t *testing.T) {
-		// k==0 means the product is the zero matrix: Gemm/GemmInt zero C,
-		// GemmBiasRow leaves the broadcast bias, accumulators are no-ops.
+		// k==0 means the product is the zero matrix: Gemm, GemmInt,
+		// ConvGemmInt and ConvGemm without bias zero C, ConvGemm with bias
+		// leaves the broadcast bias, accumulators are no-ops.
 		c := []float32{42, 42, 42, 42}
 		Gemm(a, b, c, 2, 0, 2)
 		if c[0] != 0 || c[3] != 0 {
 			t.Fatalf("Gemm k=0 must zero C, got %v", c)
 		}
+		c = []float32{42, 42, 42, 42}
+		ConvGemm(a, b, geom(2, 0, 2), c, nil)
+		if c[0] != 0 || c[3] != 0 {
+			t.Fatalf("ConvGemm k=0 must zero C, got %v", c)
+		}
 		acc := []float32{1, 2, 3, 4}
-		GemmAcc(a, b, acc, 2, 0, 2)
 		GemmTN(a, b, acc, 2, 0, 2)
 		GemmNT(a, b, acc, 2, 0, 2)
+		ConvGemmNT(a, b, geom(2, 2, 0), acc) // k = OH·OW = 0 for dW
 		if acc[0] != 1 || acc[3] != 4 {
 			t.Fatalf("accumulating kernels with k=0 must leave C untouched, got %v", acc)
 		}
 		cb := []float32{0, 0, 0, 0}
-		GemmBiasRow(a, b, cb, bias, 2, 0, 2)
+		ConvGemm(a, b, geom(2, 0, 2), cb, bias)
 		if cb[0] != 9 || cb[3] != 9 {
-			t.Fatalf("GemmBiasRow k=0 must broadcast bias, got %v", cb)
+			t.Fatalf("ConvGemm k=0 must broadcast bias, got %v", cb)
 		}
 		ci := []int64{42, 42, 42, 42}
 		GemmInt(ai, bi, ci, 2, 0, 2)
 		if ci[0] != 0 || ci[3] != 0 {
 			t.Fatalf("GemmInt k=0 must zero C, got %v", ci)
 		}
+		ci = []int64{42, 42, 42, 42}
+		ConvGemmInt(ai, bi, geom(2, 0, 2), ci, 2)
+		if ci[0] != 0 || ci[3] != 0 {
+			t.Fatalf("ConvGemmInt k=0 must zero C, got %v", ci)
+		}
 	})
 	t.Run("all-zero", func(t *testing.T) {
 		Gemm(nil, nil, nil, 0, 0, 0)
-		GemmAcc(nil, nil, nil, 0, 0, 0)
-		GemmBiasRow(nil, nil, nil, nil, 0, 0, 0)
 		GemmTN(nil, nil, nil, 0, 0, 0)
 		GemmNT(nil, nil, nil, 0, 0, 0)
 		GemmInt(nil, nil, nil, 0, 0, 0)
+		ConvGemm(nil, nil, ConvGeom{}, nil, nil)
+		ConvGemmNT(nil, nil, ConvGeom{}, nil)
+		ConvGemmInt(nil, nil, ConvGeom{}, nil, 0)
 	})
 }
 

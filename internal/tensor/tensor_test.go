@@ -204,19 +204,6 @@ func TestGemmMatchesNaiveLarge(t *testing.T) {
 	}
 }
 
-func TestGemmAccAccumulates(t *testing.T) {
-	a := []float32{1, 0, 0, 1}
-	b := []float32{2, 3, 4, 5}
-	c := []float32{10, 10, 10, 10}
-	GemmAcc(a, b, c, 2, 2, 2)
-	want := []float32{12, 13, 14, 15}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Fatalf("GemmAcc = %v, want %v", c, want)
-		}
-	}
-}
-
 func TestGemmIntMatchesNaive(t *testing.T) {
 	rng := NewRNG(3)
 	m, k, n := 8, 12, 9
