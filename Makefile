@@ -20,14 +20,15 @@ verify:
 	./verify.sh
 
 # Fast local gate matching the CI PR tier: vet, build, short tests (also
-# of the scalar 386 build's kernel packages), one iteration of every
-# benchmark.
+# of the scalar 386 build's kernel packages), the bitplane kernel sets'
+# parity test verbosely, one iteration of every benchmark.
 verify-quick:
 	go vet ./...
 	GOARCH=arm64 go vet ./...
 	go build ./...
 	go test -short -timeout 15m ./...
 	GOARCH=386 go test -short ./internal/tensor ./internal/nn ./internal/core ./internal/quant
+	go test -count=1 -v -run '^TestBitplaneKernelsMatchScalar$$' ./internal/tensor
 	go test -run '^$$' -bench . -benchtime 1x ./...
 	cd bench && go test -short -timeout 10m .
 

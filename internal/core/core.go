@@ -484,11 +484,13 @@ func intCut(seg []int64, predScale, th float32) (meanAbs float64, lim int64, ok 
 
 // bitplaneGEMMCutover is the realized-density point where the executor
 // switches from per-output bitplane dot products to batched int-GEMM
-// partials. Below it, skipping insensitive outputs wins; above it, the
-// blocked (AVX2 where available) GEMM's throughput beats per-output
-// scatter even though it computes everything. Both branches are exact
-// integer arithmetic into the same fuse(), so the switch is invisible in
-// the output — it only moves work.
+// partials, on plane splits that tensor.BitplanePartials does not fuse
+// (tensor.FusedPartials is false). Below it, skipping insensitive outputs
+// wins; above it, the blocked (AVX2 where available) GEMM's throughput
+// beats per-output scatter even though it computes everything. The
+// paper-default split runs the fused row kernels at every density. Both
+// branches are exact integer arithmetic into the same fuse(), so the
+// switch is invisible in the output — it only moves work.
 const bitplaneGEMMCutover = 0.45
 
 // resultBitplane is the sparse execution path: per sample, the task
@@ -498,15 +500,17 @@ const bitplaneGEMMCutover = 0.45
 // built from K bit-fields; no im2col matrix is ever materialized), the
 // sensitivity predictor runs as AND+POPCNT row products
 // (tensor.BitplaneMulRow), and the executor computes the three remaining
-// partials only as directed by the realized mask — fused per-output
-// bitplane dots (tensor.BitplaneDot3) at low density, wide int-GEMM
-// partials above bitplaneGEMMCutover: HL = lo·im2col(xh) and the stacked
-// [LH; LL] = [hi; lo]·im2col(xl), two implicit GEMMs (tensor.ConvGemmInt)
-// that pack their panels straight from the codes. Exact integer
-// arithmetic end to end keeps it bit-identical to the dense reference;
-// the shared fuse() keeps the float combination identical. Writes requantized codes directly
-// when ev is non-nil (fused epilogue), float partial sums into out
-// otherwise. Returns the sensitive count.
+// partials only as directed by the realized mask: one
+// tensor.BitplanePartials row call per output channel, then the fuse of
+// its sensitive outputs. On a split those partials do not fuse, a sample
+// whose density reaches bitplaneGEMMCutover runs wide int-GEMM partials
+// instead: HL = lo·im2col(xh) and the stacked [LH; LL] =
+// [hi; lo]·im2col(xl), two implicit GEMMs (tensor.ConvGemmInt) that pack
+// their panels straight from the codes. Exact integer arithmetic end to
+// end keeps it bit-identical to the dense reference; the shared fuse()
+// keeps the float combination identical. Writes requantized codes
+// directly when ev is non-nil (fused epilogue), float partial sums into
+// out otherwise. Returns the sensitive count.
 //
 // A batch with at least as many samples as the shared pool has workers
 // runs one pool task per sample, each with its own scratch and serial
@@ -546,7 +550,8 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 
 		spExec := telemetry.StartSpan("odq.executor")
 		sampleBase := s * perSample
-		if float64(sens) >= bitplaneGEMMCutover*float64(perSample) {
+		xlBP := &tensor.Bitplanes{R: cols, L: rows, P: lowBits + 1, W: tensor.BitplaneWords(rows), Signed: true}
+		if !tensor.FusedPartials(xhBP, xlBP, whBP, wlBP) && float64(sens) >= bitplaneGEMMCutover*float64(perSample) {
 			hlAcc := tensor.GetInt64(perSample)
 			lhll := tensor.GetInt64(2 * perSample)
 			tensor.ConvGemmInt(wc.lo.Data, xh, g, hlAcc, outC)
@@ -568,17 +573,18 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 			tensor.PutInt64(hlAcc)
 			tensor.PutInt64(lhll)
 		} else {
-			xlBP := &tensor.Bitplanes{R: cols, L: rows, P: lowBits + 1, W: tensor.BitplaneWords(rows), Signed: true,
-				Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, lowBits+1))}
+			xlBP.Data = tensor.GetUint64(tensor.BitplaneSize(cols, rows, lowBits+1))
 			tensor.PackConvRows(xl, g, xlBP)
 			pool.ParallelLimited(inner, outC, func(oc int) {
 				base := oc * cols
+				part := tensor.GetInt64(3 * cols)
+				tensor.BitplanePartials(part, xhBP, xlBP, whBP, wlBP, oc, mseg[base:base+cols])
+				hl, lh, ll := part[:cols], part[cols:2*cols], part[2*cols:3*cols]
 				for j := 0; j < cols; j++ {
 					i := base + j
 					v := float32(predAcc[i]) * predScale
 					if mseg[i] {
-						hl, lh, ll := tensor.BitplaneDot3(xhBP, xlBP, j, whBP, wlBP, oc)
-						v = fuse(predAcc[i], hl, lh, ll, predScale, sHL, sLH, sLL)
+						v = fuse(predAcc[i], hl[j], lh[j], ll[j], predScale, sHL, sLH, sLL)
 					}
 					if ev != nil {
 						codes[sampleBase+i] = ev.code(v, oc)
@@ -586,6 +592,7 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 						out.Data[sampleBase+i] = v
 					}
 				}
+				tensor.PutInt64(part)
 			})
 			tensor.PutUint64(xlBP.Data)
 		}

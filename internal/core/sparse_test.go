@@ -103,57 +103,129 @@ func FuzzSparseEqualsDense(f *testing.F) {
 		f.Add(int64(s.c)*31+int64(s.bits), s.c, s.oc, s.h, s.w, s.k, s.stride, s.pad, s.batch, s.bits, s.pred, s.th, s.outlier)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, c, oc, h, w, k, stride, pad, batch, bitsB, predB, thB uint8, outlier bool) {
-		inC, outC := 1+int(c)%72, 1+int(oc)%8
-		kk, st, pd := 1+int(k)%5, 1+int(stride)%3, int(pad)%3
-		ih, iw := 1+int(h)%12, 1+int(w)%12
-		n := 1 + int(batch)%17
-		if inC*ih*iw*n > 1<<14 {
-			ih, iw = min(ih, 4), min(iw, 4)
-		}
-		ih, iw = max(ih, kk-2*pd), max(iw, kk-2*pd)
-		bits := 2 + int(bitsB)%15
-		predBits := 1 + int(predB)%(bits-1)
-		th := fuzzThresholds[int(thB)%len(fuzzThresholds)]
-
-		rng := tensor.NewRNG(seed)
-		conv := nn.NewConv2D("c", inC, outC, kk, st, pd, false, rng)
-		x := tensor.New(n, inC, ih, iw)
-		rng.FillUniform(x, 0, 1)
-		if outlier {
-			for i := range x.Data {
-				if i%13 == 0 {
-					x.Data[i] = 1
-				} else {
-					x.Data[i] *= 0.05
-				}
-			}
-			conv.Weight.W.Data[rng.Intn(conv.Weight.W.Len())] *= 32
-		}
-
-		run := func(opts ...Option) (*tensor.Tensor, *quant.LayerProfile) {
-			e := NewExec(th, append(opts, WithBits(bits), WithPredBits(predBits), WithMaskRecording())...)
-			return e.Conv(x, conv), e.Profiles()[0]
-		}
-		sparse, sp := run()
-		dense, dp := run(WithDenseReference())
-		where := func() string {
-			return fmt.Sprintf("C=%d outC=%d %dx%d K=%d s=%d pad=%d N=%d bits=%d/%d th=%v outlier=%v",
-				inC, outC, ih, iw, kk, st, pd, n, bits, predBits, th, outlier)
-		}
+		fc := drawConvCase(seed, c, oc, h, w, k, stride, pad, batch, bitsB, predB, thB, outlier)
+		sparse, sp := fc.run(fc.x)
+		dense, dp := fc.run(fc.x, WithDenseReference())
 		if len(sparse.Data) != len(dense.Data) {
-			t.Fatalf("%s: output length %d vs %d", where(), len(sparse.Data), len(dense.Data))
+			t.Fatalf("%s: output length %d vs %d", fc, len(sparse.Data), len(dense.Data))
 		}
 		for i := range sparse.Data {
 			if math.Float32bits(sparse.Data[i]) != math.Float32bits(dense.Data[i]) {
-				t.Fatalf("%s: output %d: sparse %v dense %v", where(), i, sparse.Data[i], dense.Data[i])
+				t.Fatalf("%s: output %d: sparse %v dense %v", fc, i, sparse.Data[i], dense.Data[i])
 			}
 		}
 		if sp.SensitiveOutputs != dp.SensitiveOutputs {
-			t.Fatalf("%s: sensitive outputs %d vs %d", where(), sp.SensitiveOutputs, dp.SensitiveOutputs)
+			t.Fatalf("%s: sensitive outputs %d vs %d", fc, sp.SensitiveOutputs, dp.SensitiveOutputs)
 		}
 		for i := range sp.Mask {
 			if sp.Mask[i] != dp.Mask[i] {
-				t.Fatalf("%s: mask bit %d: sparse %v dense %v", where(), i, sp.Mask[i], dp.Mask[i])
+				t.Fatalf("%s: mask bit %d: sparse %v dense %v", fc, i, sp.Mask[i], dp.Mask[i])
+			}
+		}
+	})
+}
+
+// convCase is one drawn fuzz case: a conv layer, a batch of inputs and
+// the executor settings.
+type convCase struct {
+	conv           *nn.Conv2D
+	x              *tensor.Tensor
+	bits, predBits int
+	th             float32
+	outlier        bool
+}
+
+// drawConvCase turns the fuzz arguments into a case: C 1–72, OutC 1–8,
+// H and W 1–12 (at most 4 once a batch passes 2^14 input values), K 1–5,
+// stride 1–3, pad 0–2, batch 1–17, bits 2–16 with predBits 1..bits-1, a
+// threshold from fuzzThresholds, and optionally outliers: the input
+// concentrated on a few full-scale activations and one weight blown up
+// 32×, which starves the other codes and stresses the high/low split and
+// the integer cut.
+func drawConvCase(seed int64, c, oc, h, w, k, stride, pad, batch, bitsB, predB, thB uint8, outlier bool) *convCase {
+	inC, outC := 1+int(c)%72, 1+int(oc)%8
+	kk, st, pd := 1+int(k)%5, 1+int(stride)%3, int(pad)%3
+	ih, iw := 1+int(h)%12, 1+int(w)%12
+	n := 1 + int(batch)%17
+	if inC*ih*iw*n > 1<<14 {
+		ih, iw = min(ih, 4), min(iw, 4)
+	}
+	ih, iw = max(ih, kk-2*pd), max(iw, kk-2*pd)
+	bits := 2 + int(bitsB)%15
+	fc := &convCase{bits: bits, predBits: 1 + int(predB)%(bits-1),
+		th: fuzzThresholds[int(thB)%len(fuzzThresholds)], outlier: outlier}
+
+	rng := tensor.NewRNG(seed)
+	fc.conv = nn.NewConv2D("c", inC, outC, kk, st, pd, false, rng)
+	fc.x = tensor.New(n, inC, ih, iw)
+	rng.FillUniform(fc.x, 0, 1)
+	if outlier {
+		for i := range fc.x.Data {
+			if i%13 == 0 {
+				fc.x.Data[i] = 1
+			} else {
+				fc.x.Data[i] *= 0.05
+			}
+		}
+		fc.conv.Weight.W.Data[rng.Intn(fc.conv.Weight.W.Len())] *= 32
+	}
+	return fc
+}
+
+// run convolves x through a fresh mask-recording executor with the
+// case's settings and returns the output and the layer's profile.
+func (fc *convCase) run(x *tensor.Tensor, opts ...Option) (*tensor.Tensor, *quant.LayerProfile) {
+	e := NewExec(fc.th, append(opts, WithBits(fc.bits), WithPredBits(fc.predBits), WithMaskRecording())...)
+	return e.Conv(x, fc.conv), e.Profiles()[0]
+}
+
+func (fc *convCase) String() string {
+	l := fc.conv
+	return fmt.Sprintf("C=%d outC=%d %dx%d K=%d s=%d pad=%d N=%d bits=%d/%d th=%v outlier=%v",
+		l.InC, l.OutC, fc.x.Shape[2], fc.x.Shape[3], l.K, l.Stride, l.Pad, fc.x.Shape[0],
+		fc.bits, fc.predBits, fc.th, fc.outlier)
+}
+
+// FuzzBatchEqualsSingle holds batch invariance over the cases
+// FuzzSparseEqualsDense draws: every sample's rows of a batched Conv —
+// outputs and sensitivity mask — equal that sample's batch-1 call, bit
+// for bit. Batches of at least the pool's size run one task per sample,
+// a batch-1 call fans out over output channels, so both fan-outs meet.
+func FuzzBatchEqualsSingle(f *testing.F) {
+	// Arguments are those of FuzzSparseEqualsDense.
+	for _, s := range []struct {
+		c, oc, h, w, k, stride, pad, batch, bits, pred, th uint8
+		outlier                                            bool
+	}{
+		{7, 7, 4, 4, 2, 0, 1, 9, 2, 1, 4, false},   // 4/2, 25 positions (not a multiple of 8)
+		{7, 5, 9, 9, 2, 1, 1, 16, 2, 1, 3, true},   // 4/2, stride 2, batch 17, outliers
+		{3, 3, 6, 6, 2, 0, 1, 4, 2, 1, 5, false},   // nothing sensitive
+		{3, 3, 6, 6, 2, 0, 1, 4, 2, 1, 0, false},   // everything sensitive
+		{4, 6, 7, 8, 2, 1, 1, 5, 6, 3, 2, false},   // 8/4
+		{2, 3, 6, 5, 2, 1, 0, 2, 14, 14, 3, true},  // 16/15
+		{64, 2, 4, 4, 0, 0, 0, 3, 2, 1, 3, false},  // 65 channels, 1×1
+		{5, 4, 11, 11, 4, 2, 2, 1, 10, 5, 1, true}, // 5×5, stride 3, 12/6
+	} {
+		f.Add(int64(s.c)*17+int64(s.batch), s.c, s.oc, s.h, s.w, s.k, s.stride, s.pad, s.batch, s.bits, s.pred, s.th, s.outlier)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, c, oc, h, w, k, stride, pad, batch, bitsB, predB, thB uint8, outlier bool) {
+		fc := drawConvCase(seed, c, oc, h, w, k, stride, pad, batch, bitsB, predB, thB, outlier)
+		batched, bp := fc.run(fc.x)
+		n := fc.x.Shape[0]
+		in, out := len(fc.x.Data)/n, len(batched.Data)/n
+		for s := 0; s < n; s++ {
+			xs := tensor.New(1, fc.x.Shape[1], fc.x.Shape[2], fc.x.Shape[3])
+			copy(xs.Data, fc.x.Data[s*in:(s+1)*in])
+			single, sp := fc.run(xs)
+			for i, v := range single.Data {
+				if math.Float32bits(v) != math.Float32bits(batched.Data[s*out+i]) {
+					t.Fatalf("%s: sample %d output %d: alone %v batched %v", fc, s, i, v, batched.Data[s*out+i])
+				}
+			}
+			for i, m := range sp.Mask {
+				if m != bp.Mask[s*out+i] {
+					t.Fatalf("%s: sample %d mask bit %d: alone %v batched %v", fc, s, i, m, bp.Mask[s*out+i])
+				}
 			}
 		}
 	})

@@ -4,13 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Bitplanes is a bit-planar integer-code matrix: R logical rows of L lanes
 // each, with every row stored as P uint64 bitplanes of W = ceil(L/64)
-// words. Plane p of row r occupies Data[(r*P+p)*W : (r*P+p+1)*W]; lane l
-// maps to bit l&63 of word l>>6. Unused tail bits of the last word are
-// kept zero by the packers, so kernels can run whole words without masking.
+// words. The layout is position-minor: word k of plane p of row r lives at
+// Data[(p*W+k)*R + r], so the same word of consecutive rows is contiguous
+// and one 64-byte load reads it for eight rows. Lane l maps to bit l&63 of
+// word l>>6. Unused tail bits of the last word are kept zero by the
+// packers, so kernels can run whole words without masking. Activation rows
+// (one per output position) and weight rows (one per output channel) use
+// this one layout.
 //
 // The layout is the software analogue of a multi-precision PE array: a
 // dot product between two bit-planar rows decomposes into one AND+POPCNT
@@ -48,6 +53,9 @@ func NewBitplanes(rows, lanes, planes int, signed bool) *Bitplanes {
 	}
 }
 
+// word returns word k of plane p of row r.
+func (bp *Bitplanes) word(p, k, r int) uint64 { return bp.Data[(p*bp.W+k)*bp.R+r] }
+
 // PackRow packs row r from the first L values of src. Unsigned codes must
 // lie in [0, 2^P-1]; signed codes in [-2^(P-1), 2^(P-1)-1] (the masked
 // two's-complement truncation encodes them exactly in P planes). Values
@@ -57,17 +65,14 @@ func (bp *Bitplanes) PackRow(r int, src []int32) {
 	if len(src) < bp.L {
 		panic(fmt.Sprintf("tensor: PackRow src %d lanes, want %d", len(src), bp.L))
 	}
-	row := bp.Data[r*bp.P*bp.W : (r+1)*bp.P*bp.W]
-	clear(row)
-	mask := uint32(1)<<uint(bp.P) - 1
-	for l := 0; l < bp.L; l++ {
-		u := uint32(src[l]) & mask
-		if u == 0 {
-			continue
-		}
-		w, bit := l>>6, uint(l&63)
+	for k := 0; k < bp.W; k++ {
+		lanes := src[k*64 : min((k+1)*64, bp.L)]
 		for p := 0; p < bp.P; p++ {
-			row[p*bp.W+w] |= uint64((u>>uint(p))&1) << bit
+			var word uint64
+			for i, v := range lanes {
+				word |= uint64(uint32(v)>>uint(p)&1) << uint(i)
+			}
+			bp.Data[(p*bp.W+k)*bp.R+r] = word
 		}
 	}
 }
@@ -115,9 +120,11 @@ func (bp *Bitplanes) PackConvWeights(src []int32, inC, k int) {
 // The second pass builds each output row from K bit-fields, one per
 // kernel row kh: the K·C lanes of taps (kh, 0..K-1, 0..C-1) sit
 // contiguously in input row ih's stream from lane ow·Stride·C, and land
-// at lane kh·K·C of the row. Kernel rows outside the input contribute
-// nothing. dst.P and dst.Signed give the code range as for PackRow; dst
-// may hold dirty pooled scratch.
+// at lane kh·K·C of the row. One run of fields (one output row oh, one
+// kernel row, one plane) covers the OutW consecutive positions of oh, so
+// it writes OutW consecutive words per destination word. Kernel rows
+// outside the input contribute nothing. dst.P and dst.Signed give the
+// code range as for PackRow; dst may hold dirty pooled scratch.
 func PackConvRows(src []int32, g ConvGeom, dst *Bitplanes) {
 	if dst.R != g.ColCols() || dst.L != g.ColRows() || len(src) < g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: PackConvRows dst %dx%d, want %dx%d", dst.R, dst.L, g.ColCols(), g.ColRows()))
@@ -150,11 +157,9 @@ func PackConvRows(src []int32, g ConvGeom, dst *Bitplanes) {
 	}
 	PutUint8(bytes)
 
-	kc, step, w := g.K*c, g.Stride*c, dst.W
-	rowLen := planes * w
+	kc, step, w, r := g.K*c, g.Stride*c, dst.W, dst.R
+	clear(dst.Data[:BitplaneSize(r, dst.L, planes)])
 	for oh := 0; oh < g.OutH; oh++ {
-		rows := dst.Data[oh*g.OutW*rowLen : (oh+1)*g.OutW*rowLen]
-		clear(rows)
 		for kh := 0; kh < g.K; kh++ {
 			ih := oh*g.Stride - g.Pad + kh
 			if ih < 0 || ih >= g.InH {
@@ -162,7 +167,7 @@ func PackConvRows(src []int32, g ConvGeom, dst *Bitplanes) {
 			}
 			for p := 0; p < planes; p++ {
 				st := streams[(ih*planes+p)*sw : (ih*planes+p+1)*sw]
-				orFields(rows[p*w:], g.OutW, rowLen, st, step, kh*kc, kc)
+				orFields(dst.Data[p*w*r+oh*g.OutW:], g.OutW, r, st, step, kh*kc, kc)
 			}
 		}
 	}
@@ -184,34 +189,36 @@ func gatherPlane(b []uint8, p uint) uint64 {
 	return word
 }
 
-// orFields ORs one kc-lane field into each of n output rows (one plane's
-// words of each row, rowLen words apart): row j takes stream lanes
-// [j·step, j·step+kc) of st to lanes [at, at+kc). A field of at most 64
-// lanes is one funnel shift of two stream words, and whether it spills
+// orFields ORs one kc-lane field into each of n consecutive rows of one
+// plane, whose word d of row j is rows[d*stride + j]: row j takes stream
+// lanes [j·step, j·step+kc) of st to lanes [at, at+kc). A field of at most
+// 64 lanes is one funnel shift of two stream words, and whether it spills
 // into a second row word depends on at alone; wider fields copy 64 lanes
 // at a time. A shift of 64 yields 0, so an aligned field never spills,
 // and a nonzero spill always has a next word to land in.
-func orFields(rows []uint64, n, rowLen int, st []uint64, step, at, kc int) {
+func orFields(rows []uint64, n, stride int, st []uint64, step, at, kc int) {
 	if kc <= 64 {
 		mask := ^uint64(0) >> uint(64-kc)
 		di, dsh := at>>6, uint(at&63)
-		spill := int(dsh)+kc > 64
+		d0 := rows[di*stride : di*stride+n]
+		var d1 []uint64
+		if int(dsh)+kc > 64 {
+			d1 = rows[(di+1)*stride : (di+1)*stride+n]
+		}
 		for j, off := 0, 0; j < n; j, off = j+1, off+step {
 			sh := uint(off & 63)
 			s := st[off>>6 : off>>6+2]
 			// (63-sh)&63 then 1 is a shift by 64-sh the compiler need
 			// not guard against reaching 64.
 			f := (s[0]>>sh | s[1]<<((63-sh)&63)<<1) & mask
-			d := rows[j*rowLen+di:]
-			d[0] |= f << dsh
-			if spill {
-				d[1] |= f >> ((64 - dsh) & 63)
+			d0[j] |= f << dsh
+			if d1 != nil {
+				d1[j] |= f >> ((64 - dsh) & 63)
 			}
 		}
 		return
 	}
 	for j, off := 0, 0; j < n; j, off = j+1, off+step {
-		row := rows[j*rowLen:]
 		for done := 0; done < kc; done += 64 {
 			src, dl := off+done, at+done
 			wi, sh := src>>6, uint(src&63)
@@ -220,9 +227,9 @@ func orFields(rows []uint64, n, rowLen int, st []uint64, step, at, kc int) {
 				f &= ^uint64(0) >> uint(64-(kc-done))
 			}
 			di, dsh := dl>>6, uint(dl&63)
-			row[di] |= f << dsh
+			rows[di*stride+j] |= f << dsh
 			if hi := f >> (64 - dsh); hi != 0 {
-				row[di+1] |= hi
+				rows[(di+1)*stride+j] |= hi
 			}
 		}
 	}
@@ -239,26 +246,19 @@ func planeWeight(p, planes int, signed bool) int64 {
 
 // BitplaneDot returns the exact integer dot product of row ra of a with
 // row rb of b: sum over lanes of a[ra][l]*b[rb][l], reconstructed as
-// plane-weighted AND+POPCNT reductions.
+// plane-weighted AND+POPCNT reductions. It is the generic one-output
+// kernel, the reference the row kernels are tested against.
 func BitplaneDot(a *Bitplanes, ra int, b *Bitplanes, rb int) int64 {
 	if a.W != b.W || a.L != b.L {
 		panic("tensor: BitplaneDot lane geometry mismatch")
 	}
-	w := a.W
-	arow := a.Data[ra*a.P*w : (ra+1)*a.P*w]
-	brow := b.Data[rb*b.P*w : (rb+1)*b.P*w]
-	if a.P == 2 && b.P == 2 {
-		return dot2x2(arow, brow, w, a.Signed, b.Signed)
-	}
 	var total int64
 	for i := 0; i < a.P; i++ {
 		wi := planeWeight(i, a.P, a.Signed)
-		ai := arow[i*w : (i+1)*w]
 		for j := 0; j < b.P; j++ {
-			bj := brow[j*w : (j+1)*w]
 			var pc int
-			for k, av := range ai {
-				pc += bits.OnesCount64(av & bj[k])
+			for k := 0; k < a.W; k++ {
+				pc += bits.OnesCount64(a.word(i, k, ra) & b.word(j, k, rb))
 			}
 			total += wi * planeWeight(j, b.P, b.Signed) * int64(pc)
 		}
@@ -266,36 +266,17 @@ func BitplaneDot(a *Bitplanes, ra int, b *Bitplanes, rb int) int64 {
 	return total
 }
 
-// dot2x2 is the fused kernel for the paper-default 2-bit×2-bit case (the
-// HBS×HBS sensitivity predictor): four AND+POPCNT streams in one pass.
-func dot2x2(arow, brow []uint64, w int, aSigned, bSigned bool) int64 {
-	a0, a1 := arow[:w], arow[w:2*w]
-	b0, b1 := brow[:w], brow[w:2*w]
-	var p00, p01, p10, p11 int
-	for k := 0; k < w; k++ {
-		av0, av1 := a0[k], a1[k]
-		bv0, bv1 := b0[k], b1[k]
-		p00 += bits.OnesCount64(av0 & bv0)
-		p01 += bits.OnesCount64(av0 & bv1)
-		p10 += bits.OnesCount64(av1 & bv0)
-		p11 += bits.OnesCount64(av1 & bv1)
-	}
-	wa, wb := int64(2), int64(2)
-	if aSigned {
-		wa = -2
-	}
-	if bSigned {
-		wb = -2
-	}
-	return int64(p00) + wb*int64(p01) + wa*int64(p10) + wa*wb*int64(p11)
-}
+// Row kernels. Both run one weight row (one output channel) against every
+// activation row (every output position). Where the vector kernels run
+// (useAsmPopcnt), eight positions share each 64-byte load, AND and
+// VPOPCNTQ, full blocks of eight rows take the assembly and the last R%8
+// rows the scalar loop. The scalar kernels run everywhere else. Every sum
+// is an exact integer in either set, so the two agree bit for bit.
 
 // BitplaneMulRow computes dst[j] = dot(a[ra], b[j]) for every row j of b —
 // one output-channel row of the HBS×HBS predictor product against all
-// output positions. The a-row slices and plane weights are hoisted out of
-// the j loop, and the 2×2 case runs a manually inlined kernel (the
-// per-output call + re-slice overhead is comparable to the popcount work
-// itself at typical lane counts).
+// output positions. The 2×2-plane case runs rowDot2x2 (or its AVX-512
+// twin); other plane counts take the generic rowDot.
 func BitplaneMulRow(dst []int64, a *Bitplanes, ra int, b *Bitplanes) {
 	if a.W != b.W || a.L != b.L {
 		panic("tensor: BitplaneMulRow lane geometry mismatch")
@@ -303,125 +284,270 @@ func BitplaneMulRow(dst []int64, a *Bitplanes, ra int, b *Bitplanes) {
 	if len(dst) < b.R {
 		panic("tensor: BitplaneMulRow dst too small")
 	}
-	w := a.W
-	arow := a.Data[ra*a.P*w : (ra+1)*a.P*w]
-	if a.P == 2 && b.P == 2 {
-		wa, wb := int64(2), int64(2)
-		if a.Signed {
-			wa = -2
-		}
-		if b.Signed {
-			wb = -2
-		}
-		mulRow2x2(dst[:b.R], arow, b.Data, w, wa, wb)
+	mustHold("BitplaneMulRow", a, b)
+	if a.P != 2 || b.P != 2 || b.W == 0 {
+		rowDot(dst, a, ra, b)
 		return
 	}
-	for j := 0; j < b.R; j++ {
-		dst[j] = BitplaneDot(a, ra, b, j)
+	var buf [2 * 16]uint64
+	wt, pooled := weightScratch(buf[:], 2*a.W)
+	gatherWeights(wt, ra, a)
+	r0 := 0
+	if useAsmPopcnt && b.R >= 8 {
+		r0 = b.R &^ 7
+		rowDot2x2AVX512(&dst[0], &wt[0], &b.Data[0], r0/8, b.W, b.R, signMask(a.Signed), signMask(b.Signed))
+	}
+	rowDot2x2(dst, wt, b, planeWeight(1, 2, a.Signed), r0)
+	if pooled != nil {
+		PutUint64(pooled)
 	}
 }
 
-func mulRow2x2(dst []int64, arow, bdata []uint64, w int, wa, wb int64) {
-	if w == 3 {
-		mulRow2x2w3(dst, arow, bdata, wa, wb)
-		return
+// signMask is the negation mask of a top plane: all ones when it weighs
+// −2^(P−1), zero otherwise.
+func signMask(signed bool) uint64 {
+	if signed {
+		return ^uint64(0)
 	}
-	a0, a1 := arow[:w], arow[w:2*w]
-	stride := 2 * w
-	for j := range dst {
-		off := j * stride
-		b0 := bdata[off : off+w]
-		b1 := bdata[off+w : off+stride : off+stride]
-		var p00, p01, p10, p11 int
-		for k := 0; k < w; k++ {
-			av0, av1 := a0[k], a1[k]
-			bv0, bv1 := b0[k], b1[k]
-			p00 += bits.OnesCount64(av0 & bv0)
-			p01 += bits.OnesCount64(av0 & bv1)
-			p10 += bits.OnesCount64(av1 & bv0)
-			p11 += bits.OnesCount64(av1 & bv1)
+	return 0
+}
+
+// weightScratch returns n words for a gathered weight row: buf when it
+// is large enough, else pooled scratch, also returned as pooled for the
+// caller to put back (kept apart from buf so buf stays on the stack).
+func weightScratch(buf []uint64, n int) (wt, pooled []uint64) {
+	if n <= len(buf) {
+		return buf[:n], nil
+	}
+	pooled = GetUint64(n)
+	return pooled, pooled
+}
+
+// gatherWeights copies row r of the operands a into word-major order:
+// for each word k, word k of every plane of a[0], then of a[1], and so
+// on. The kernels then read one weight row from a single run of memory
+// that advances by the plane count per word.
+func gatherWeights(wt []uint64, r int, a ...*Bitplanes) {
+	q := 0
+	for k := 0; k < a[0].W; k++ {
+		for _, x := range a {
+			for p := 0; p < x.P; p++ {
+				wt[q] = x.word(p, k, r)
+				q++
+			}
 		}
-		dst[j] = int64(p00) + wb*int64(p01) + wa*int64(p10) + wa*wb*int64(p11)
 	}
 }
 
-// mulRow2x2w3 is the three-word (129–192 lane) specialization of
-// mulRow2x2 — the common CNN shape (InC·K·K = 144 for a 16-channel 3×3
-// layer). Hoisting the six weight words out of the position loop leaves
-// twelve independent AND+POPCNT streams per output position and no inner
-// loop at all.
-func mulRow2x2w3(dst []int64, arow, bdata []uint64, wa, wb int64) {
-	a00, a01, a02 := arow[0], arow[1], arow[2]
-	a10, a11, a12 := arow[3], arow[4], arow[5]
-	for j := range dst {
-		off := j * 6
-		b := bdata[off : off+6 : off+6]
-		p00 := bits.OnesCount64(a00&b[0]) + bits.OnesCount64(a01&b[1]) + bits.OnesCount64(a02&b[2])
-		p01 := bits.OnesCount64(a00&b[3]) + bits.OnesCount64(a01&b[4]) + bits.OnesCount64(a02&b[5])
-		p10 := bits.OnesCount64(a10&b[0]) + bits.OnesCount64(a11&b[1]) + bits.OnesCount64(a12&b[2])
-		p11 := bits.OnesCount64(a10&b[3]) + bits.OnesCount64(a11&b[4]) + bits.OnesCount64(a12&b[5])
-		dst[j] = int64(p00) + wb*int64(p01) + wa*int64(p10) + wa*wb*int64(p11)
+// gatherRow copies row r of x into row-major order: word k of plane p at
+// dst[p*W+k]. The generic path gathers each row it dots, so its plane-pair
+// reductions run over contiguous words.
+func gatherRow(dst []uint64, x *Bitplanes, r int) {
+	for q := range dst[:x.P*x.W] {
+		dst[q] = x.Data[q*x.R+r]
 	}
 }
 
-// BitplaneDot3 computes the three ODQ executor partials for output
-// position j against output channel oc in one fused pass:
+// dotRows is BitplaneDot over two rows from gatherRow: a of ap planes, b
+// of bp planes, w words per plane.
+func dotRows(a []uint64, ap int, aSigned bool, b []uint64, bp int, bSigned bool, w int) int64 {
+	var total int64
+	for i := 0; i < ap; i++ {
+		wi := planeWeight(i, ap, aSigned)
+		ai := a[i*w : (i+1)*w]
+		for q := 0; q < bp; q++ {
+			bq := b[q*w : (q+1)*w]
+			var pc int
+			for k, av := range ai {
+				pc += bits.OnesCount64(av & bq[k])
+			}
+			total += wi * planeWeight(q, bp, bSigned) * int64(pc)
+		}
+	}
+	return total
+}
+
+// rowDot is the generic predictor row kernel, for plane counts other than
+// 2×2: like rowDot2x2 it reads one plane word of the run of consecutive
+// positions at a time, and adds that word's weighted AND+POPCNT term
+// against each plane of row ra of a to dst.
+func rowDot(dst []int64, a *Bitplanes, ra int, b *Bitplanes) {
+	w, r := b.W, b.R
+	d := dst[:r]
+	clear(d)
+	for k := 0; k < w; k++ {
+		for q := 0; q < b.P; q++ {
+			bq := b.Data[(q*w+k)*r : (q*w+k+1)*r]
+			bq = bq[:len(d)]
+			wq := planeWeight(q, b.P, b.Signed)
+			for i := 0; i < a.P; i++ {
+				av, wt := a.word(i, k, ra), wq*planeWeight(i, a.P, a.Signed)
+				for j, x := range bq {
+					d[j] += wt * int64(bits.OnesCount64(x&av))
+				}
+			}
+		}
+	}
+}
+
+// rowDot2x2 is the scalar 2×2-plane predictor kernel for rows [r0, R) of
+// b, with wt the weight row from gatherWeights and wa the weight of its
+// top plane. It runs word by word: each pass reads one plane word of the
+// run of consecutive positions and adds its four weighted AND+POPCNT
+// terms to dst, which on this layout is twice as fast as keeping each
+// row's counts in registers over strided words.
+func rowDot2x2(dst []int64, wt []uint64, b *Bitplanes, wa int64, r0 int) {
+	w, rb := b.W, b.R
+	wb := planeWeight(1, 2, b.Signed)
+	wab := wa * wb
+	d := dst[r0:rb]
+	clear(d)
+	for k := 0; k < w; k++ {
+		a0, a1 := wt[2*k], wt[2*k+1]
+		b0 := b.Data[k*rb+r0 : (k+1)*rb]
+		b1 := b.Data[(w+k)*rb+r0 : (w+k+1)*rb]
+		b0, b1 = b0[:len(d)], b1[:len(d)]
+		for i, x0 := range b0 {
+			x1 := b1[i]
+			d[i] += int64(bits.OnesCount64(x0&a0)) + wb*int64(bits.OnesCount64(x1&a0)) +
+				wa*int64(bits.OnesCount64(x0&a1)) + wab*int64(bits.OnesCount64(x1&a1))
+		}
+	}
+}
+
+// BitplanePartials computes the three ODQ executor partials of output
+// channel oc against every output position j whose mask[j] is set:
 //
 //	hl = xh[j]·wl[oc]   lh = xl[j]·wh[oc]   ll = xl[j]·wl[oc]
 //
-// For the paper-default split (xh unsigned 2-plane, wh signed 2-plane,
-// xl/wl signed 3-plane) the 21 plane-pair reductions share one word loop
-// with all operand words loaded once; other geometries fall back to three
-// BitplaneDot calls. Exact integer arithmetic either way.
-func BitplaneDot3(xh, xl *Bitplanes, j int, wh, wl *Bitplanes, oc int) (hl, lh, ll int64) {
-	if xh.P == 2 && !xh.Signed && xl.P == 3 && xl.Signed &&
-		wh.P == 2 && wh.Signed && wl.P == 3 && wl.Signed &&
-		xh.W == wh.W && xh.L == wh.L && xl.W == wl.W && xl.L == wl.L && xh.W == xl.W {
-		return dot3Fused(xh, xl, j, wh, wl, oc)
+// into dst[j], dst[R+j] and dst[2R+j], R = xh.R. Entries of positions
+// whose mask is false are unspecified: the vector kernel computes whole
+// blocks of eight positions and skips a block only when none of its
+// eight is sensitive. On the paper-default split (xh unsigned 2-plane,
+// wh signed 2-plane, xl and wl signed 3-plane) the 21 plane-pair
+// reductions run fused (rowPartials23, or its AVX-512 twin); other
+// geometries gather each sensitive position's words (gatherRow) and take
+// three dotRows.
+func BitplanePartials(dst []int64, xh, xl, wh, wl *Bitplanes, oc int, mask []bool) {
+	r := xh.R
+	if xl.R != r || wh.R != wl.R || xh.W != xl.W || xh.W != wh.W || xh.W != wl.W ||
+		xh.L != xl.L || xh.L != wh.L || xh.L != wl.L {
+		panic("tensor: BitplanePartials geometry mismatch")
 	}
-	return BitplaneDot(xh, j, wl, oc), BitplaneDot(xl, j, wh, oc), BitplaneDot(xl, j, wl, oc)
+	if len(dst) < 3*r || len(mask) < r {
+		panic("tensor: BitplanePartials dst or mask too small")
+	}
+	mustHold("BitplanePartials", xh, xl, wh, wl)
+	if !FusedPartials(xh, xl, wh, wl) {
+		w := xh.W
+		buf := GetUint64((xh.P + xl.P + wh.P + wl.P) * w)
+		o1, o2, o3 := wh.P*w, (wh.P+wl.P)*w, (wh.P+wl.P+xh.P)*w
+		rh, rl, xhr, xlr := buf[:o1], buf[o1:o2], buf[o2:o3], buf[o3:]
+		gatherRow(rh, wh, oc)
+		gatherRow(rl, wl, oc)
+		for j, m := range mask[:r] {
+			if m {
+				gatherRow(xhr, xh, j)
+				gatherRow(xlr, xl, j)
+				dst[j] = dotRows(xhr, xh.P, xh.Signed, rl, wl.P, wl.Signed, w)
+				dst[r+j] = dotRows(xlr, xl.P, xl.Signed, rh, wh.P, wh.Signed, w)
+				dst[2*r+j] = dotRows(xlr, xl.P, xl.Signed, rl, wl.P, wl.Signed, w)
+			}
+		}
+		PutUint64(buf)
+		return
+	}
+	var buf [5 * 16]uint64
+	wt, pooled := weightScratch(buf[:], 5*xh.W)
+	gatherWeights(wt, oc, wh, wl)
+	r0 := 0
+	if useAsmPopcnt && r >= 8 && xh.W > 0 {
+		r0 = r &^ 7
+		rowPartials23AVX512(&dst[0], &wt[0], &xh.Data[0], &xl.Data[0], &mask[0], r0/8, xh.W, r)
+	}
+	rowPartials23(dst, wt, xh, xl, mask, r0)
+	if pooled != nil {
+		PutUint64(pooled)
+	}
 }
 
-func dot3Fused(xh, xl *Bitplanes, j int, wh, wl *Bitplanes, oc int) (hl, lh, ll int64) {
-	w := xh.W
-	xhr := xh.Data[j*2*w : (j+1)*2*w]
-	xlr := xl.Data[j*3*w : (j+1)*3*w]
-	whr := wh.Data[oc*2*w : (oc+1)*2*w]
-	wlr := wl.Data[oc*3*w : (oc+1)*3*w]
-	xh0, xh1 := xhr[:w], xhr[w:2*w]
-	xl0, xl1, xl2 := xlr[:w], xlr[w:2*w], xlr[2*w:3*w]
-	wh0, wh1 := whr[:w], whr[w:2*w]
-	wl0, wl1, wl2 := wlr[:w], wlr[w:2*w], wlr[2*w:3*w]
-	var hlA, lhA, llA int
-	for k := 0; k < w; k++ {
-		xh0k, xh1k := xh0[k], xh1[k]
-		xl0k, xl1k, xl2k := xl0[k], xl1[k], xl2[k]
-		wh0k, wh1k := wh0[k], wh1[k]
-		wl0k, wl1k, wl2k := wl0[k], wl1[k], wl2[k]
-		// hl: xh planes weigh {1,2}, wl planes {1,2,-4}.
-		hlA += bits.OnesCount64(xh0k&wl0k) +
-			bits.OnesCount64(xh0k&wl1k)<<1 -
-			bits.OnesCount64(xh0k&wl2k)<<2 +
-			bits.OnesCount64(xh1k&wl0k)<<1 +
-			bits.OnesCount64(xh1k&wl1k)<<2 -
-			bits.OnesCount64(xh1k&wl2k)<<3
-		// lh: xl planes weigh {1,2,-4}, wh planes {1,-2}.
-		lhA += bits.OnesCount64(xl0k&wh0k) +
-			bits.OnesCount64(xl1k&wh0k)<<1 -
-			bits.OnesCount64(xl2k&wh0k)<<2 -
-			bits.OnesCount64(xl0k&wh1k)<<1 -
-			bits.OnesCount64(xl1k&wh1k)<<2 +
-			bits.OnesCount64(xl2k&wh1k)<<3
-		// ll: both sides {1,2,-4}.
-		llA += bits.OnesCount64(xl0k&wl0k) +
-			bits.OnesCount64(xl0k&wl1k)<<1 -
-			bits.OnesCount64(xl0k&wl2k)<<2 +
-			bits.OnesCount64(xl1k&wl0k)<<1 +
-			bits.OnesCount64(xl1k&wl1k)<<2 -
-			bits.OnesCount64(xl1k&wl2k)<<3 -
-			bits.OnesCount64(xl2k&wl0k)<<2 -
-			bits.OnesCount64(xl2k&wl1k)<<3 +
-			bits.OnesCount64(xl2k&wl2k)<<4
+// FusedPartials reports whether BitplanePartials runs its fused kernels
+// (rowPartials23 or the AVX-512 twin) for operands of these plane
+// geometries, the paper-default split; Data need not be set. The ODQ
+// executor's branch rule reads it: only the per-position path of the other
+// splits loses to the int-GEMM partials on dense samples.
+func FusedPartials(xh, xl, wh, wl *Bitplanes) bool {
+	return xh.P == 2 && !xh.Signed && xl.P == 3 && xl.Signed &&
+		wh.P == 2 && wh.Signed && wl.P == 3 && wl.Signed
+}
+
+// mustHold panics unless each operand's Data holds the P·W·R words a row
+// kernel reads. The assembly reads through raw pointers, so this is the
+// bounds check Go's slicing would otherwise make.
+func mustHold(op string, xs ...*Bitplanes) {
+	for _, x := range xs {
+		if n := x.P * x.W * x.R; len(x.Data) < n {
+			panic(fmt.Sprintf("tensor: %s operand holds %d words, want %d", op, len(x.Data), n))
+		}
 	}
-	return int64(hlA), int64(lhA), int64(llA)
+}
+
+// rowPartials23 is the scalar fused executor kernel for positions [r0, R)
+// on the paper-default split, with wt the weight row in gatherWeights'
+// order (wh0, wh1, wl0, wl1, wl2 per word). A block of eight positions
+// with no sensitive one costs one 8-byte test; in the others, each
+// sensitive position runs the 21 plane-pair reductions over every word
+// with its operand words loaded once.
+func rowPartials23(dst []int64, wt []uint64, xh, xl *Bitplanes, mask []bool, r0 int) {
+	w, r := xh.W, xh.R
+	n := w * r
+	xh0, xh1 := xh.Data[:n], xh.Data[n:2*n]
+	xl0, xl1, xl2 := xl.Data[:n], xl.Data[n:2*n], xl.Data[2*n:3*n]
+	mb := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(mask))), r)
+	for j0 := r0; j0 < r; j0 += 8 {
+		var m uint64
+		if j0+8 <= r {
+			m = binary.LittleEndian.Uint64(mb[j0:])
+		} else {
+			for i, b := range mb[j0:] {
+				m |= uint64(b) << uint(8*i)
+			}
+		}
+		for ; m != 0; m &= m - 1 {
+			j := j0 + bits.TrailingZeros64(m)>>3
+			var hlA, lhA, llA int
+			for k := 0; k < w; k++ {
+				o := k*r + j
+				xh0k, xh1k := xh0[o], xh1[o]
+				xl0k, xl1k, xl2k := xl0[o], xl1[o], xl2[o]
+				ws := wt[5*k : 5*k+5 : 5*k+5]
+				wh0k, wh1k, wl0k, wl1k, wl2k := ws[0], ws[1], ws[2], ws[3], ws[4]
+				// hl: xh planes weigh {1,2}, wl planes {1,2,-4}.
+				hlA += bits.OnesCount64(xh0k&wl0k) +
+					bits.OnesCount64(xh0k&wl1k)<<1 -
+					bits.OnesCount64(xh0k&wl2k)<<2 +
+					bits.OnesCount64(xh1k&wl0k)<<1 +
+					bits.OnesCount64(xh1k&wl1k)<<2 -
+					bits.OnesCount64(xh1k&wl2k)<<3
+				// lh: xl planes weigh {1,2,-4}, wh planes {1,-2}.
+				lhA += bits.OnesCount64(xl0k&wh0k) +
+					bits.OnesCount64(xl1k&wh0k)<<1 -
+					bits.OnesCount64(xl2k&wh0k)<<2 -
+					bits.OnesCount64(xl0k&wh1k)<<1 -
+					bits.OnesCount64(xl1k&wh1k)<<2 +
+					bits.OnesCount64(xl2k&wh1k)<<3
+				// ll: both sides {1,2,-4}.
+				llA += bits.OnesCount64(xl0k&wl0k) +
+					bits.OnesCount64(xl0k&wl1k)<<1 -
+					bits.OnesCount64(xl0k&wl2k)<<2 +
+					bits.OnesCount64(xl1k&wl0k)<<1 +
+					bits.OnesCount64(xl1k&wl1k)<<2 -
+					bits.OnesCount64(xl1k&wl2k)<<3 -
+					bits.OnesCount64(xl2k&wl0k)<<2 -
+					bits.OnesCount64(xl2k&wl1k)<<3 +
+					bits.OnesCount64(xl2k&wl2k)<<4
+			}
+			dst[j], dst[r+j], dst[2*r+j] = int64(hlA), int64(lhA), int64(llA)
+		}
+	}
 }

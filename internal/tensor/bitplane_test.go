@@ -101,23 +101,26 @@ func TestBitplaneDotExtremes(t *testing.T) {
 }
 
 // TestBitplaneMulRowParity checks the row-times-matrix kernel on a
-// predictor-shaped product (OutC rows x cols positions) with a tail word.
+// predictor-shaped product (OutC rows x cols positions) with a tail word,
+// for the 2×2-plane predictor and the generic path (4×4 planes).
 func TestBitplaneMulRowParity(t *testing.T) {
 	rng := NewRNG(12)
 	const lanes, outC, cols = 99, 7, 23
-	w := randCodes(rng, outC*lanes, 2, true)
-	x := randCodes(rng, cols*lanes, 2, false)
-	wbp := NewBitplanes(outC, lanes, 2, true)
-	xbp := NewBitplanes(cols, lanes, 2, false)
-	wbp.PackRows(w)
-	xbp.PackRows(x)
-	dst := make([]int64, cols)
-	for oc := 0; oc < outC; oc++ {
-		BitplaneMulRow(dst, wbp, oc, xbp)
-		for j := 0; j < cols; j++ {
-			want := scalarDot(w[oc*lanes:(oc+1)*lanes], x[j*lanes:(j+1)*lanes])
-			if dst[j] != want {
-				t.Fatalf("oc=%d j=%d: got %d want %d", oc, j, dst[j], want)
+	for _, planes := range []int{2, 4} {
+		w := randCodes(rng, outC*lanes, planes, true)
+		x := randCodes(rng, cols*lanes, planes, false)
+		wbp := NewBitplanes(outC, lanes, planes, true)
+		xbp := NewBitplanes(cols, lanes, planes, false)
+		wbp.PackRows(w)
+		xbp.PackRows(x)
+		dst := make([]int64, cols)
+		for oc := 0; oc < outC; oc++ {
+			BitplaneMulRow(dst, wbp, oc, xbp)
+			for j := 0; j < cols; j++ {
+				want := scalarDot(w[oc*lanes:(oc+1)*lanes], x[j*lanes:(j+1)*lanes])
+				if dst[j] != want {
+					t.Fatalf("planes=%d oc=%d j=%d: got %d want %d", planes, oc, j, dst[j], want)
+				}
 			}
 		}
 	}
@@ -165,45 +168,57 @@ func TestBitplaneDotConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBitplaneDot3Parity checks the fused three-partial executor kernel
-// against scalar dots, on the paper-default plane geometry (fused path)
-// and on the INT8-extension geometry (fallback path), across tail-word
-// lane counts.
-func TestBitplaneDot3Parity(t *testing.T) {
+// TestBitplanePartialsParity checks the executor's row call against
+// scalar dots, on the paper-default plane geometry (fused kernels) and on
+// the INT8-extension geometry (the gathered generic path), across tail-word
+// lane counts (zero lanes included) and position counts below, at and
+// past one block of eight.
+func TestBitplanePartialsParity(t *testing.T) {
 	rng := NewRNG(16)
 	type geom struct {
 		xhP, xlP int
 	}
 	for _, g := range []geom{{2, 3}, {4, 5}} {
-		for _, lanes := range []int{1, 63, 64, 65, 144, 200} {
-			const cols, outC = 5, 4
-			xhC := randCodes(rng, cols*lanes, g.xhP, false)
-			xlC := randCodes(rng, cols*lanes, g.xlP, true)
-			whC := randCodes(rng, outC*lanes, g.xhP, true)
-			wlC := randCodes(rng, outC*lanes, g.xlP, true)
-			xh := NewBitplanes(cols, lanes, g.xhP, false)
-			xl := NewBitplanes(cols, lanes, g.xlP, true)
-			wh := NewBitplanes(outC, lanes, g.xhP, true)
-			wl := NewBitplanes(outC, lanes, g.xlP, true)
-			xh.PackRows(xhC)
-			xl.PackRows(xlC)
-			wh.PackRows(whC)
-			wl.PackRows(wlC)
-			for j := 0; j < cols; j++ {
+		for _, lanes := range []int{0, 1, 63, 64, 65, 144, 200} {
+			for _, cols := range []int{5, 8, 21} {
+				const outC = 4
+				xhC := randCodes(rng, cols*lanes, g.xhP, false)
+				xlC := randCodes(rng, cols*lanes, g.xlP, true)
+				whC := randCodes(rng, outC*lanes, g.xhP, true)
+				wlC := randCodes(rng, outC*lanes, g.xlP, true)
+				xh := NewBitplanes(cols, lanes, g.xhP, false)
+				xl := NewBitplanes(cols, lanes, g.xlP, true)
+				wh := NewBitplanes(outC, lanes, g.xhP, true)
+				wl := NewBitplanes(outC, lanes, g.xlP, true)
+				xh.PackRows(xhC)
+				xl.PackRows(xlC)
+				wh.PackRows(whC)
+				wl.PackRows(wlC)
+				mask := make([]bool, cols)
+				for j := range mask {
+					mask[j] = true
+				}
+				dst := make([]int64, 3*cols)
 				for oc := 0; oc < outC; oc++ {
-					hl, lh, ll := BitplaneDot3(xh, xl, j, wh, wl, oc)
-					xhRow := xhC[j*lanes : (j+1)*lanes]
-					xlRow := xlC[j*lanes : (j+1)*lanes]
-					whRow := whC[oc*lanes : (oc+1)*lanes]
-					wlRow := wlC[oc*lanes : (oc+1)*lanes]
-					if want := scalarDot(xhRow, wlRow); hl != want {
-						t.Fatalf("planes=%v lanes=%d j=%d oc=%d: hl=%d want %d", g, lanes, j, oc, hl, want)
+					for i := range dst {
+						dst[i] = -1 // stale scratch
 					}
-					if want := scalarDot(xlRow, whRow); lh != want {
-						t.Fatalf("planes=%v lanes=%d j=%d oc=%d: lh=%d want %d", g, lanes, j, oc, lh, want)
-					}
-					if want := scalarDot(xlRow, wlRow); ll != want {
-						t.Fatalf("planes=%v lanes=%d j=%d oc=%d: ll=%d want %d", g, lanes, j, oc, ll, want)
+					BitplanePartials(dst, xh, xl, wh, wl, oc, mask)
+					for j := 0; j < cols; j++ {
+						hl, lh, ll := dst[j], dst[cols+j], dst[2*cols+j]
+						xhRow := xhC[j*lanes : (j+1)*lanes]
+						xlRow := xlC[j*lanes : (j+1)*lanes]
+						whRow := whC[oc*lanes : (oc+1)*lanes]
+						wlRow := wlC[oc*lanes : (oc+1)*lanes]
+						if want := scalarDot(xhRow, wlRow); hl != want {
+							t.Fatalf("planes=%v lanes=%d j=%d oc=%d: hl=%d want %d", g, lanes, j, oc, hl, want)
+						}
+						if want := scalarDot(xlRow, whRow); lh != want {
+							t.Fatalf("planes=%v lanes=%d j=%d oc=%d: lh=%d want %d", g, lanes, j, oc, lh, want)
+						}
+						if want := scalarDot(xlRow, wlRow); ll != want {
+							t.Fatalf("planes=%v lanes=%d j=%d oc=%d: ll=%d want %d", g, lanes, j, oc, ll, want)
+						}
 					}
 				}
 			}
@@ -215,7 +230,7 @@ func TestBitplaneDot3Parity(t *testing.T) {
 // PackConvRows against weight rows from PackConvWeights, both in
 // (kh, kw, c) lane order, must give the scalar dot of the (c, kh, kw)
 // im2col row with the unpermuted weight row — through BitplaneMulRow and
-// BitplaneDot3 — for kernel-row fields that fill, straddle and span
+// BitplanePartials — for kernel-row fields that fill, straddle and span
 // words, every kernel size the models use, stride 2, padding 0–2, and
 // codes of one byte pass and of two.
 func TestPackConvRowsParity(t *testing.T) {
@@ -278,13 +293,19 @@ func TestPackConvRowsParity(t *testing.T) {
 						xhT, xlT := make([]int32, rows*cols), make([]int32, rows*cols)
 						im2colIntT(xhC, g, xhT)
 						im2colIntT(xlC, g, xlT)
-						for j := 0; j < cols; j++ {
-							for oc := 0; oc < outC; oc++ {
-								hl, lh, ll := BitplaneDot3(xh, xl, j, wh, wl, oc)
+						mask := make([]bool, cols)
+						for j := range mask {
+							mask[j] = true
+						}
+						part := make([]int64, 3*cols)
+						for oc := 0; oc < outC; oc++ {
+							BitplanePartials(part, xh, xl, wh, wl, oc, mask)
+							for j := 0; j < cols; j++ {
+								hl, lh, ll := part[j], part[cols+j], part[2*cols+j]
 								xhRow, xlRow := xhT[j*rows:(j+1)*rows], xlT[j*rows:(j+1)*rows]
 								whRow, wlRow := whC[oc*rows:(oc+1)*rows], wlC[oc*rows:(oc+1)*rows]
 								if hl != scalarDot(xhRow, wlRow) || lh != scalarDot(xlRow, whRow) || ll != scalarDot(xlRow, wlRow) {
-									t.Fatalf("C=%d K=%d s=%d pad=%d planes=%+v j=%d oc=%d: Dot3 (%d,%d,%d) want (%d,%d,%d)",
+									t.Fatalf("C=%d K=%d s=%d pad=%d planes=%+v j=%d oc=%d: partials (%d,%d,%d) want (%d,%d,%d)",
 										inC, k, stride, pad, pl, j, oc, hl, lh, ll,
 										scalarDot(xhRow, wlRow), scalarDot(xlRow, whRow), scalarDot(xlRow, wlRow))
 								}
@@ -374,19 +395,57 @@ func poisonedBitplanes(rows, lanes, planes int, signed bool) *Bitplanes {
 	return bp
 }
 
-func BenchmarkBitplaneDot2x2(b *testing.B) {
-	rng := NewRNG(14)
-	const lanes = 576
-	a := randCodes(rng, lanes, 2, false)
-	w := randCodes(rng, lanes, 2, true)
-	bpa := NewBitplanes(1, lanes, 2, false)
-	bpw := NewBitplanes(1, lanes, 2, true)
-	bpa.PackRow(0, a)
-	bpw.PackRow(0, w)
-	b.SetBytes(int64(lanes))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BitplaneDot(bpa, 0, bpw, 0)
+// BenchmarkBitplaneKernels times one sample-layer of each row kernel at
+// the half-width ResNet-20 stage shapes (positions, words per plane,
+// OutC): the predictor (BitplaneMulRow over every output channel) and
+// the executor (BitplanePartials over every output channel) under iid
+// masks at 24 % and 69 % density, on each kernel set.
+func BenchmarkBitplaneKernels(b *testing.B) {
+	shapes := []struct {
+		name              string
+		rows, lanes, outC int
+	}{{"s1", 1024, 72, 8}, {"s2", 256, 144, 16}, {"s3", 64, 288, 32}}
+	sets := []struct {
+		name   string
+		vector bool
+	}{{"avx512", true}, {"scalar", false}}
+	defer func(v bool) { useAsmPopcnt = v }(useAsmPopcnt)
+	for _, set := range sets {
+		if set.vector && !haveAVX512Popcnt {
+			continue
+		}
+		useAsmPopcnt = set.vector
+		for _, sh := range shapes {
+			rng := NewRNG(20)
+			pack := func(r, planes int, signed bool) *Bitplanes {
+				bp := NewBitplanes(r, sh.lanes, planes, signed)
+				bp.PackRows(randCodes(rng, r*sh.lanes, planes, signed))
+				return bp
+			}
+			xh, xl := pack(sh.rows, 2, false), pack(sh.rows, 3, true)
+			wh, wl := pack(sh.outC, 2, true), pack(sh.outC, 3, true)
+			dst := make([]int64, 3*sh.rows)
+			b.Run(set.name+"/"+sh.name+"/predictor", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for oc := 0; oc < sh.outC; oc++ {
+						BitplaneMulRow(dst, wh, oc, xh)
+					}
+				}
+			})
+			for _, density := range []int{24, 69} {
+				mask := make([]bool, sh.outC*sh.rows)
+				for i := range mask {
+					mask[i] = rng.Intn(100) < density
+				}
+				b.Run(fmt.Sprintf("%s/%s/executor%d", set.name, sh.name, density), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for oc := 0; oc < sh.outC; oc++ {
+							BitplanePartials(dst, xh, xl, wh, wl, oc, mask[oc*sh.rows:(oc+1)*sh.rows])
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -421,6 +480,200 @@ func BenchmarkPackConvRows(b *testing.B) {
 					PackConvRows(x, g, bp)
 				}
 			})
+		}
+	}
+}
+
+// TestBitplaneKernelsMatchScalar runs each kernel set — the AVX-512
+// kernels and the scalar ones, switched through useAsmPopcnt — against
+// the generic BitplaneDot: the predictor row (2×2 planes, every
+// signedness) and the fused executor row on the paper-default split, at
+// 1–70 positions (every tail of an eight-row block) and 1–20 words per
+// plane, with corner codes mixed in and masks that are all false, all
+// true, iid, and alternating by block. A block with no sensitive position
+// must be left as it was.
+func TestBitplaneKernelsMatchScalar(t *testing.T) {
+	for _, set := range []struct {
+		name   string
+		vector bool
+	}{{"avx512", true}, {"scalar", false}} {
+		t.Run(set.name, func(t *testing.T) {
+			if set.vector && !haveAVX512Popcnt {
+				t.Skip("this CPU lacks AVX512F or AVX512_VPOPCNTDQ (or the OS has not enabled ZMM state): only the scalar kernels run here")
+			}
+			defer func(v bool) { useAsmPopcnt = v }(useAsmPopcnt)
+			useAsmPopcnt = set.vector
+			checkBitplaneKernels(t)
+		})
+	}
+}
+
+// cornerCodes is randCodes with half the codes drawn from the range's
+// corners (minimum, maximum, -1 or 0).
+func cornerCodes(rng *RNG, n, planes int, signed bool) []int32 {
+	out := randCodes(rng, n, planes, signed)
+	lo, hi := int32(0), int32(1)<<uint(planes)-1
+	if signed {
+		lo, hi = -(hi+1)/2, hi/2
+	}
+	corners := []int32{lo, hi, -1, 0}
+	if !signed {
+		corners[2] = hi
+	}
+	for i := range out {
+		if rng.Intn(2) == 0 {
+			out[i] = corners[rng.Intn(len(corners))]
+		}
+	}
+	return out
+}
+
+func checkBitplaneKernels(t *testing.T) {
+	rng := NewRNG(19)
+	const outC, poison = 2, int64(-1) << 62
+	btoi := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	pools := map[[2]int][]int32{}
+	for _, g := range [][2]int{{2, 0}, {2, 1}, {3, 1}} {
+		pools[g] = cornerCodes(rng, 71*20*64, g[0], g[1] == 1)
+	}
+	for rows := 1; rows <= 70; rows++ {
+		for words := 1; words <= 20; words++ {
+			if rows > 17 && words > 3 && (rows+words)%5 != 0 {
+				continue // a fifth of the larger shapes keeps the test quick
+			}
+			lanes := 64*(words-1) + 1 + rng.Intn(64)
+			// Each operand packs a window of one code pool per plane
+			// geometry, with one row set all to the maximum code.
+			pack := func(r, planes int, signed bool) *Bitplanes {
+				pool := pools[[2]int{planes, btoi(signed)}]
+				codes := make([]int32, r*lanes)
+				copy(codes, pool[rng.Intn(len(pool)-len(codes)):])
+				hot := codes[rng.Intn(r)*lanes:][:lanes]
+				for i := range hot {
+					hot[i] = int32(1)<<uint(planes-btoi(signed)) - 1
+				}
+				bp := NewBitplanes(r, lanes, planes, signed)
+				bp.PackRows(codes)
+				return bp
+			}
+			xh, xl := pack(rows, 2, false), pack(rows, 3, true)
+			wh, wl := pack(outC, 2, true), pack(outC, 3, true)
+			xs := pack(rows, 2, true)
+
+			// Predictor rows, every signedness of the two operands.
+			dst := make([]int64, rows)
+			for _, pair := range [][2]*Bitplanes{{wh, xh}, {wh, xs}, {xh, xs}, {xs, xh}} {
+				a, b := pair[0], pair[1]
+				for ra := 0; ra < min(a.R, 3); ra++ {
+					BitplaneMulRow(dst, a, ra, b)
+					for j := 0; j < rows; j++ {
+						if want := BitplaneDot(a, ra, b, j); dst[j] != want {
+							t.Fatalf("rows=%d words=%d signed=%v/%v ra=%d j=%d: predictor %d want %d",
+								rows, words, a.Signed, b.Signed, ra, j, dst[j], want)
+						}
+					}
+				}
+			}
+
+			// Executor rows under each mask.
+			masks := []struct {
+				name string
+				fill func(j int) bool
+			}{
+				{"none", func(int) bool { return false }},
+				{"all", func(int) bool { return true }},
+				{"iid", func(int) bool { return rng.Intn(10) < 3 }},
+				{"alternate", func(j int) bool { return (j/8)%2 == 1 }},
+			}
+			mask := make([]bool, rows)
+			part := make([]int64, 3*rows)
+			for _, mk := range masks {
+				name, fill := mk.name, mk.fill
+				for j := range mask {
+					mask[j] = fill(j)
+				}
+				for oc := 0; oc < outC; oc++ {
+					for i := range part {
+						part[i] = poison
+					}
+					BitplanePartials(part, xh, xl, wh, wl, oc, mask)
+					for j := 0; j < rows; j++ {
+						got := [3]int64{part[j], part[rows+j], part[2*rows+j]}
+						if mask[j] {
+							want := [3]int64{BitplaneDot(xh, j, wl, oc), BitplaneDot(xl, j, wh, oc), BitplaneDot(xl, j, wl, oc)}
+							if got != want {
+								t.Fatalf("rows=%d words=%d mask=%s oc=%d j=%d: partials %v want %v",
+									rows, words, name, oc, j, got, want)
+							}
+							continue
+						}
+						blockSensitive := false
+						for _, m := range mask[j&^7 : min(j&^7+8, rows)] {
+							blockSensitive = blockSensitive || m
+						}
+						if !blockSensitive && got != [3]int64{poison, poison, poison} {
+							t.Fatalf("rows=%d words=%d mask=%s oc=%d j=%d: insensitive block written: %v",
+								rows, words, name, oc, j, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBitplaneKernelsShortData checks that both row kernels, on each
+// kernel set, panic before writing anything when an operand's Data is one
+// word shorter than its geometry: the assembly reads through raw
+// pointers, so the check must come before it runs.
+func TestBitplaneKernelsShortData(t *testing.T) {
+	defer func(v bool) { useAsmPopcnt = v }(useAsmPopcnt)
+	const rows, lanes, poison = 16, 100, int64(-7)
+	mask := make([]bool, rows)
+	for i := range mask {
+		mask[i] = true
+	}
+	dst := make([]int64, 3*rows)
+	calls := []struct {
+		name  string
+		reads []int // the operands (xh, xl, wh, wl) the kernel reads
+		kern  func(xh, xl, wh, wl *Bitplanes)
+	}{
+		{"BitplaneMulRow", []int{0, 2}, func(xh, _, wh, _ *Bitplanes) { BitplaneMulRow(dst, wh, 1, xh) }},
+		{"BitplanePartials", []int{0, 1, 2, 3}, func(xh, xl, wh, wl *Bitplanes) { BitplanePartials(dst, xh, xl, wh, wl, 1, mask) }},
+	}
+	for _, vector := range []bool{true, false} {
+		if vector && !haveAVX512Popcnt {
+			continue
+		}
+		useAsmPopcnt = vector
+		for _, c := range calls {
+			for _, short := range c.reads {
+				op := []*Bitplanes{NewBitplanes(rows, lanes, 2, false), NewBitplanes(rows, lanes, 3, true),
+					NewBitplanes(2, lanes, 2, true), NewBitplanes(2, lanes, 3, true)}
+				op[short].Data = op[short].Data[:len(op[short].Data)-1]
+				for i := range dst {
+					dst[i] = poison
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("vector=%v %s: operand %d one word short did not panic", vector, c.name, short)
+						}
+					}()
+					c.kern(op[0], op[1], op[2], op[3])
+				}()
+				for i, v := range dst {
+					if v != poison {
+						t.Fatalf("vector=%v %s: operand %d one word short, dst[%d] written before the panic", vector, c.name, short, i)
+					}
+				}
+			}
 		}
 	}
 }

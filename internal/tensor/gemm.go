@@ -211,7 +211,9 @@ func gemmF32(a []float32, ars, acs int, b gemmB[float32], c []float32, m, k, n i
 		mGemmRowBlocks.Observe(float64(rb))
 	}
 	bp := GetFloat32(minInt(gemmKC, k) * minInt(gemmNC, roundUp(n, nr)))
-	apLen := minInt(gemmMC, roundUp(m, mr)) * minInt(gemmKC, k)
+	blk := f32Block{a: a, ars: ars, acs: acs, bp: bp, c: c, m: m, n: n,
+		apLen: minInt(gemmMC, roundUp(m, mr)) * minInt(gemmKC, k)}
+	blocks := (m + gemmMC - 1) / gemmMC
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := minInt(gemmNC, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
@@ -220,43 +222,59 @@ func gemmF32(a []float32, ars, acs int, b gemmB[float32], c []float32, m, k, n i
 			b.pack(pc, kc, jc, nc, nr, bp)
 			spPack.End()
 			spKern := telemetry.StartSpan("gemm.kernel")
-			blocks := (m + gemmMC - 1) / gemmMC
-			runBlock := func(blk int) {
-				ic := blk * gemmMC
-				mc := minInt(gemmMC, m-ic)
-				ap := GetFloat32(apLen)
-				packA(a, ars, acs, ic, mc, pc, kc, mr, ap)
-				for ir := 0; ir < mc; ir += mr {
-					h := minInt(mr, mc-ir)
-					apan := ap[(ir/mr)*kc*mr:]
-					crow := c[(ic+ir)*n+jc:]
-					for jr := 0; jr < nc; jr += nr {
-						w := minInt(nr, nc-jr)
-						bpan := bp[(jr/nr)*kc*nr:]
-						if h == mr && w == nr && useAsmF32 {
-							fmaKernel6x16(&apan[0], &bpan[0], kc, &crow[jr], n)
-						} else if useAsmF32 {
-							mulAddEdgeF32(apan, bpan, kc, h, w, crow[jr:], n)
-						} else if h == mr && w == nr && mr == 1 {
-							microF32Acc1x8(apan, bpan, kc, crow[jr:jr+8])
-						} else {
-							microF32Edge(apan, bpan, kc, mr, nr, h, w, crow[jr:], n)
-						}
-					}
-				}
-				PutFloat32(ap)
-			}
+			blk.jc, blk.nc, blk.pc, blk.kc = jc, nc, pc, kc
 			if parallel && blocks > 1 {
-				pool.ParallelN(blocks, runBlock)
+				// Only a fan-out hands the block to the pool; the copy
+				// keeps blk itself off the heap on the serial path.
+				par := blk
+				pool.ParallelN(blocks, par.run)
 			} else {
-				for blk := 0; blk < blocks; blk++ {
-					runBlock(blk)
+				for i := 0; i < blocks; i++ {
+					blk.run(i)
 				}
 			}
 			spKern.End()
 		}
 	}
 	PutFloat32(bp)
+}
+
+// f32Block is one packed kc×nc B panel of gemmF32; run computes its
+// product with the blk-th gemmMC-row block of A into C.
+type f32Block struct {
+	a              []float32
+	ars, acs       int
+	bp, c          []float32
+	m, n, apLen    int
+	jc, nc, pc, kc int
+}
+
+func (s *f32Block) run(blk int) {
+	mr, nr := gemmMR, gemmNR
+	ic := blk * gemmMC
+	mc := minInt(gemmMC, s.m-ic)
+	kc, nc, n := s.kc, s.nc, s.n
+	ap := GetFloat32(s.apLen)
+	packA(s.a, s.ars, s.acs, ic, mc, s.pc, kc, mr, ap)
+	for ir := 0; ir < mc; ir += mr {
+		h := minInt(mr, mc-ir)
+		apan := ap[(ir/mr)*kc*mr:]
+		crow := s.c[(ic+ir)*n+s.jc:]
+		for jr := 0; jr < nc; jr += nr {
+			w := minInt(nr, nc-jr)
+			bpan := s.bp[(jr/nr)*kc*nr:]
+			if h == mr && w == nr && useAsmF32 {
+				fmaKernel6x16(&apan[0], &bpan[0], kc, &crow[jr], n)
+			} else if useAsmF32 {
+				mulAddEdgeF32(apan, bpan, kc, h, w, crow[jr:], n)
+			} else if h == mr && w == nr && mr == 1 {
+				microF32Acc1x8(apan, bpan, kc, crow[jr:jr+8])
+			} else {
+				microF32Edge(apan, bpan, kc, mr, nr, h, w, crow[jr:], n)
+			}
+		}
+	}
+	PutFloat32(ap)
 }
 
 // roundUp rounds n up to a multiple of r. Pack buffers keep whole
@@ -446,7 +464,9 @@ func gemmIntCore(a []int32, b gemmB[int32], c []int64, m, k, n int) {
 		mGemmRowBlocks.Observe(float64(rb))
 	}
 	bp := GetInt32(minInt(gemmKC, k) * minInt(gemmNCI, roundUp(n, nr)))
-	apLen := minInt(gemmMCI, roundUp(m, mr)) * minInt(gemmKC, k)
+	blk := intBlock{a: a, k: k, bp: bp, c: c, m: m, n: n,
+		apLen: minInt(gemmMCI, roundUp(m, mr)) * minInt(gemmKC, k)}
+	blocks := (m + gemmMCI - 1) / gemmMCI
 	for jc := 0; jc < n; jc += gemmNCI {
 		nc := minInt(gemmNCI, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
@@ -455,41 +475,55 @@ func gemmIntCore(a []int32, b gemmB[int32], c []int64, m, k, n int) {
 			b.pack(pc, kc, jc, nc, nr, bp)
 			spPack.End()
 			spKern := telemetry.StartSpan("gemm.kernel")
-			blocks := (m + gemmMCI - 1) / gemmMCI
-			runBlock := func(blk int) {
-				ic := blk * gemmMCI
-				mc := minInt(gemmMCI, m-ic)
-				ap := GetInt32(apLen)
-				packA(a, k, 1, ic, mc, pc, kc, mr, ap)
-				for ir := 0; ir < mc; ir += mr {
-					h := minInt(mr, mc-ir)
-					apan := ap[(ir/mr)*kc*mr:]
-					crow := c[(ic+ir)*n+jc:]
-					for jr := 0; jr < nc; jr += nr {
-						w := minInt(nr, nc-jr)
-						bpan := bp[(jr/nr)*kc*nr:]
-						if h == mr && w == nr && useAsmInt {
-							mulKernelInt2x8(&apan[0], &bpan[0], kc, &crow[jr], n)
-						} else if h == mr && w == nr && !useAsmInt {
-							microIntAcc2x4(apan, bpan, kc, crow[jr:], n)
-						} else {
-							microIntEdge(apan, bpan, kc, mr, nr, h, w, crow[jr:], n)
-						}
-					}
-				}
-				PutInt32(ap)
-			}
+			blk.jc, blk.nc, blk.pc, blk.kc = jc, nc, pc, kc
 			if parallel && blocks > 1 {
-				pool.ParallelN(blocks, runBlock)
+				par := blk
+				pool.ParallelN(blocks, par.run)
 			} else {
-				for blk := 0; blk < blocks; blk++ {
-					runBlock(blk)
+				for i := 0; i < blocks; i++ {
+					blk.run(i)
 				}
 			}
 			spKern.End()
 		}
 	}
 	PutInt32(bp)
+}
+
+// intBlock is f32Block for gemmIntCore.
+type intBlock struct {
+	a              []int32
+	k              int
+	bp             []int32
+	c              []int64
+	m, n, apLen    int
+	jc, nc, pc, kc int
+}
+
+func (s *intBlock) run(blk int) {
+	mr, nr := gemmMRI, gemmNRI
+	ic := blk * gemmMCI
+	mc := minInt(gemmMCI, s.m-ic)
+	kc, nc, n := s.kc, s.nc, s.n
+	ap := GetInt32(s.apLen)
+	packA(s.a, s.k, 1, ic, mc, s.pc, kc, mr, ap)
+	for ir := 0; ir < mc; ir += mr {
+		h := minInt(mr, mc-ir)
+		apan := ap[(ir/mr)*kc*mr:]
+		crow := s.c[(ic+ir)*n+s.jc:]
+		for jr := 0; jr < nc; jr += nr {
+			w := minInt(nr, nc-jr)
+			bpan := s.bp[(jr/nr)*kc*nr:]
+			if h == mr && w == nr && useAsmInt {
+				mulKernelInt2x8(&apan[0], &bpan[0], kc, &crow[jr], n)
+			} else if h == mr && w == nr && !useAsmInt {
+				microIntAcc2x4(apan, bpan, kc, crow[jr:], n)
+			} else {
+				microIntEdge(apan, bpan, kc, mr, nr, h, w, crow[jr:], n)
+			}
+		}
+	}
+	PutInt32(ap)
 }
 
 // microIntAcc2x4 is the scalar integer microkernel for full 2×4 tiles.

@@ -575,3 +575,47 @@ func TestGemmConcurrentCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGemmSerialNoAlloc checks that a warmed GEMM that runs serially
+// allocates nothing: only a fan-out hands its row blocks to the pool, so
+// the serial path builds no closure and moves no loop state to the heap.
+// The shapes are the conv benchmarks' (a dW product of four kc blocks
+// among them) and a 128³ GemmInt, which a one-worker pool keeps serial.
+func TestGemmSerialNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime makes sync.Pool drop buffers, so a warmed Get may allocate")
+	}
+	old := gemmPool
+	one := NewPool(1)
+	gemmPool = func() *Pool { return one }
+	defer func() { gemmPool = old }()
+
+	rng := NewRNG(32)
+	g := Geometry(4, 32, 32, 4, 3, 1, 1)
+	x := make([]float32, g.InC*g.InH*g.InW)
+	w := make([]float32, g.OutC*g.ColRows())
+	out := make([]float32, g.OutC*g.ColCols())
+	fillRandF32(rng, x)
+	fillRandF32(rng, w)
+	gi := Geometry(8, 32, 32, 8, 3, 1, 1)
+	xi := randCodes(rng, gi.InC*gi.InH*gi.InW, 2, false)
+	wi := randCodes(rng, 2*gi.OutC*gi.ColRows(), 3, true)
+	acc := make([]int64, 2*gi.OutC*gi.ColCols())
+	const m = 128
+	a, b := randCodes(rng, m*m, 4, true), randCodes(rng, m*m, 4, true)
+	c := make([]int64, m*m)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"ConvGemm", func() { ConvGemm(w, x, g, out, nil) }},
+		{"ConvGemmNT", func() { ConvGemmNT(out, x, g, w) }},
+		{"ConvGemmInt", func() { ConvGemmInt(wi, xi, gi, acc, 2*gi.OutC) }},
+		{"GemmInt", func() { GemmInt(a, b, c, m, m, m) }},
+	} {
+		tc.run() // warm the scratch pools
+		if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
+			t.Errorf("%s: %v allocations per serial call, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -28,3 +28,19 @@ func mulAddKernel6x16(ap, bp *float32, kc int, c *float32, ldc int) {
 func mulKernelInt2x8(ap, bp *int32, kc int, c *int64, ldc int) {
 	panic("tensor: mulKernelInt2x8 unavailable")
 }
+
+// The bitplane row kernels are scalar off amd64.
+var (
+	haveAVX512Popcnt = false
+	useAsmPopcnt     = false
+)
+
+// rowDot2x2AVX512 is never called when useAsmPopcnt is false.
+func rowDot2x2AVX512(dst *int64, wt, b *uint64, blocks, words, rows int, negA, negB uint64) {
+	panic("tensor: rowDot2x2AVX512 unavailable")
+}
+
+// rowPartials23AVX512 is never called when useAsmPopcnt is false.
+func rowPartials23AVX512(dst *int64, wt, xh, xl *uint64, mask *bool, blocks, words, rows int) {
+	panic("tensor: rowPartials23AVX512 unavailable")
+}

@@ -224,18 +224,29 @@ func TestTelemetryODQConvCounters(t *testing.T) {
 		}
 	}
 
-	// At threshold 0 every output is sensitive, so the executor takes its
-	// int-GEMM branch, which routes through the blocked GEMM kernels and
-	// must keep emitting their spans.
-	conv.Exec = core.NewExec(0)
-	conv.Forward(x, false)
-	names = map[string]bool{}
-	for _, ev := range r.TraceEvents() {
-		names[ev.Name] = true
+	// At threshold 0 every output is sensitive. On the paper-default 4/2
+	// split the executor still runs its fused bitplane row kernels and no
+	// GEMM; on a split they do not fuse (8/4) it takes its int-GEMM
+	// branch, which routes through the blocked GEMM kernels and must keep
+	// emitting their spans. Neither depends on the host's kernel set.
+	spanNames := func(opts ...core.Option) map[string]bool {
+		r.ResetSpans()
+		conv.Exec = core.NewExec(0, opts...)
+		conv.Forward(x, false)
+		names := map[string]bool{}
+		for _, ev := range r.TraceEvents() {
+			names[ev.Name] = true
+		}
+		return names
 	}
+	fused := spanNames()
+	gemm := spanNames(core.WithBits(8), core.WithPredBits(4))
 	for _, want := range []string{"gemm.pack", "gemm.kernel"} {
-		if !names[want] {
-			t.Fatalf("int-GEMM branch trace missing span %q (have %v)", want, names)
+		if fused[want] {
+			t.Fatalf("all-sensitive 4/2 ODQ conv ran span %q (have %v)", want, fused)
+		}
+		if !gemm[want] {
+			t.Fatalf("int-GEMM branch trace missing span %q (have %v)", want, gemm)
 		}
 	}
 }
