@@ -19,10 +19,12 @@ race:
 verify:
 	./verify.sh
 
-# Fast local gate matching the CI PR tier: vet, build, short tests (also
-# of the scalar 386 build's kernel packages), the bitplane kernel sets'
-# parity test verbosely, one iteration of every benchmark.
+# Fast local gate matching the CI PR tier: metric-name lint, vet, build,
+# short tests (also of the scalar 386 build's kernel packages), the
+# bitplane kernel sets' parity test verbosely, one iteration of every
+# benchmark.
 verify-quick:
+	./scripts/metric_lint.sh
 	go vet ./...
 	GOARCH=arm64 go vet ./...
 	go build ./...

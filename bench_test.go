@@ -1,9 +1,9 @@
 // Package repro_bench holds the kernel micro-benchmarks: float and
 // integer GEMM, the implicit-GEMM convolutions, one ODQ conv layer at
-// pinned sensitive fractions
-// (sparse, serial and dense-reference executors), and the Table-2 energy
-// model. The end-to-end benchmark — whole networks through infer.Session
-// and whole requests through the server — is bench/ (bash bench/run.sh).
+// pinned sensitive fractions on the 4/2 split (bitplane and int-GEMM
+// engines) and the 8/4 split (int-GEMM), and the Table-2 energy model.
+// The end-to-end benchmark — whole networks through infer.Session and
+// whole requests through the server — is bench/ (bash bench/run.sh).
 //
 // Run with:
 //
@@ -63,8 +63,8 @@ func BenchmarkGemmInt(b *testing.B) {
 // BenchmarkConvGemm runs one sample through the implicit-GEMM
 // convolutions at the benchmark workloads' stage-1 shapes: the float
 // forward and weight gradient of resnet20-train-dp2 (width 0.25, C 4→4,
-// 32×32, K 3) and the stacked [hi; lo] int-GEMM (m = 2·OutC) of
-// resnet20-dense's high-density executor branch (width 0.5, C 8→8).
+// 32×32, K 3) and one int-GEMM partial of the ODQ int-GEMM path at the
+// resnet20 workloads' width 0.5 (C 8→8).
 func BenchmarkConvGemm(b *testing.B) {
 	rng := tensor.NewRNG(4)
 	gf := tensor.Geometry(4, 32, 32, 4, 3, 1, 1)
@@ -89,29 +89,30 @@ func BenchmarkConvGemm(b *testing.B) {
 	})
 	gi := tensor.Geometry(8, 32, 32, 8, 3, 1, 1)
 	xi := make([]int32, gi.InC*gi.InH*gi.InW)
-	wi := make([]int32, 2*gi.OutC*gi.ColRows())
-	acc := make([]int64, 2*gi.OutC*gi.ColCols())
+	wi := make([]int32, gi.OutC*gi.ColRows())
+	acc := make([]int64, gi.OutC*gi.ColCols())
 	for i := range xi {
 		xi[i] = int32(rng.Intn(4))
 	}
 	for i := range wi {
 		wi[i] = int32(rng.Intn(7)) - 3
 	}
-	b.Run("int-hilo-c8", func(b *testing.B) {
+	b.Run("int-c8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.ConvGemmInt(wi, xi, gi, acc, 2*gi.OutC)
+			tensor.ConvGemmInt(wi, xi, gi, acc)
 		}
 	})
 }
 
-// ---------- ODQ sparse-executor benches ----------
+// ---------- ODQ executor benches ----------
 //
 // The result executor computes the HL/LH/LL partials only for sensitive
-// outputs. These benches pin the sensitive fraction at ~30%/60%/100% and
-// compare the sparse parallel path against the dense-select reference
-// and against serial execution. End to end, the same sparse-vs-dense
-// split is bench/'s resnet20-sparse vs resnet20-dense workloads, per
-// layer in core.conv_ms.* and quant.sensitivity.*.
+// outputs. These benches pin the sensitive fraction at ~30%/60%/100% on
+// one layer. On the paper's 4/2 split they compare the bitplane engine
+// with the int-GEMM compute-then-select path (WithDenseReference); the
+// 8/4 split runs only the int-GEMM path. End to end, the 4/2 engine runs
+// bench/'s resnet20-sparse and resnet20-dense workloads, per layer in
+// core.conv_ms.* and quant.sensitivity.*.
 
 func benchConvLayer() (*nn.Conv2D, *tensor.Tensor) {
 	rng := tensor.NewRNG(3)
@@ -122,13 +123,14 @@ func benchConvLayer() (*nn.Conv2D, *tensor.Tensor) {
 }
 
 // thresholdForSensitivity bisects the ODQ threshold until the executor's
-// sensitive fraction lands near target on the given layer/input.
-func thresholdForSensitivity(conv *nn.Conv2D, x *tensor.Tensor, target float64) float32 {
+// sensitive fraction, under the given split options, lands near target
+// on the given layer/input.
+func thresholdForSensitivity(conv *nn.Conv2D, x *tensor.Tensor, target float64, split []core.Option) float32 {
 	if target >= 1 {
 		return -1 // negative threshold: every output is sensitive
 	}
 	sensAt := func(th float32) float64 {
-		e := core.NewExec(th, core.WithProfiling())
+		e := core.NewExec(th, append(split, core.WithProfiling())...)
 		conv.Exec = e
 		conv.Forward(x, false)
 		conv.Exec = nil
@@ -155,28 +157,42 @@ var odqBenchGrid = []struct {
 	{"sens100", 1.00},
 }
 
+type odqVariant struct {
+	name string
+	opts []core.Option
+}
+
+// BenchmarkODQConv times one conv layer per split, density and engine.
+// Each density bisects its threshold inside its own b.Run, so a -bench
+// filter bisects only the densities it times.
 func BenchmarkODQConv(b *testing.B) {
 	conv, x := benchConvLayer()
-	for _, p := range odqBenchGrid {
-		th := thresholdForSensitivity(conv, x, p.target)
-		variants := []struct {
-			name string
-			opts []core.Option
-		}{
-			{"sparse-parallel", nil},
-			{"sparse-serial", []core.Option{core.WithWorkers(1)}},
-			{"dense", []core.Option{core.WithDenseReference()}},
-		}
-		for _, v := range variants {
-			b.Run(p.name+"/"+v.name, func(b *testing.B) {
-				conv.Exec = core.NewExec(th, v.opts...)
-				defer func() { conv.Exec = nil }()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					conv.Forward(x, false)
-				}
-			})
-		}
+	splits := []struct {
+		name     string
+		split    []core.Option
+		variants []odqVariant
+	}{
+		{"4-2", nil, []odqVariant{{"bitplane", nil}, {"int-gemm", []core.Option{core.WithDenseReference()}}}},
+		{"8-4", []core.Option{core.WithBits(8), core.WithPredBits(4)}, []odqVariant{{"int-gemm", nil}}},
+	}
+	for _, sp := range splits {
+		b.Run(sp.name, func(b *testing.B) {
+			for _, p := range odqBenchGrid {
+				b.Run(p.name, func(b *testing.B) {
+					th := thresholdForSensitivity(conv, x, p.target, sp.split)
+					for _, v := range sp.variants {
+						b.Run(v.name, func(b *testing.B) {
+							conv.Exec = core.NewExec(th, append(v.opts, sp.split...)...)
+							defer func() { conv.Exec = nil }()
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								conv.Forward(x, false)
+							}
+						})
+					}
+				})
+			}
+		})
 	}
 }
 

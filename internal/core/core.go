@@ -9,13 +9,13 @@
 //
 // The executor here is numerically exact with respect to that definition:
 // sensitive outputs equal the full INT-k convolution bit-for-bit, while
-// insensitive outputs carry only the high×high partial. The one execution
-// path runs the predictor and the sparse executor on bit-planar
-// AND+POPCNT kernels (internal/tensor.Bitplanes) — the software analogue
-// of the paper's multi-precision PE array — and stays bit-identical to the
-// dense compute-then-select reference (WithDenseReference), the parity
-// oracle, because every integer reduction is exact and the float fusion
-// is shared.
+// insensitive outputs carry only the high×high partial. The plane split
+// picks the engine. On the paper's 4/2 split the predictor and the sparse
+// executor run on bit-planar AND+POPCNT kernels (internal/tensor.Bitplanes),
+// the software analogue of the paper's INT2-MAC PE array. Every other split
+// runs the int-GEMM compute-then-select path, which is also the 4/2
+// engine's parity oracle (WithDenseReference). The two are bit-identical
+// because every integer reduction is exact and the float fusion is shared.
 package core
 
 import (
@@ -67,12 +67,10 @@ type Exec struct {
 	// noWeightCache disables the per-layer weight-code cache; set during
 	// threshold-aware retraining, when weights change every step.
 	noWeightCache bool
-	// dense selects the dense-compute-then-select reference path instead
-	// of the sparse executor (parity tests, benchmarks).
+	// dense selects the int-GEMM compute-then-select path: under
+	// WithDenseReference, and on every plane split but 4/2, the only one
+	// the bitplane row kernels run.
 	dense bool
-	// workers caps result-generation parallelism (sample or outC
-	// fan-out); 0 means the full shared pool, 1 forces serial execution.
-	workers int
 
 	quant.Profiler
 
@@ -114,15 +112,6 @@ func WithoutWeightCache() Option {
 	return func(e *Exec) { e.noWeightCache = true }
 }
 
-// WithWorkers caps the result-generation parallelism at n goroutines
-// (1 = serial; 0 / unset = the full shared pool). The cap applies to
-// whichever fan-out the default executor picks for a call: over samples
-// when the batch has at least as many samples as the shared pool has
-// workers, over output channels within each sample otherwise.
-func WithWorkers(n int) Option {
-	return func(e *Exec) { e.workers = n }
-}
-
 // WithProfiling enables per-layer profile recording from construction.
 // Call Reset before the measured pass if earlier (calibration, training)
 // Conv calls should not count.
@@ -136,9 +125,10 @@ func WithMaskRecording() Option {
 	return func(e *Exec) { e.EnableMaskRecording() }
 }
 
-// WithDenseReference switches result generation to the dense
-// compute-then-select reference implementation. The sparse default is
-// bit-identical; this path exists for parity tests and benchmarks.
+// WithDenseReference forces the int-GEMM compute-then-select path: the
+// predictor and all three executor partials as int GEMMs over every
+// output, then a select by the mask. Every split but 4/2 runs it anyway;
+// on 4/2 it is the bitplane executor's parity oracle, bit-identical to it.
 func WithDenseReference() Option {
 	return func(e *Exec) { e.dense = true }
 }
@@ -161,6 +151,7 @@ func NewExec(threshold float32, opts ...Option) *Exec {
 	if e.predBits < 1 || e.predBits >= e.bits {
 		panic(fmt.Sprintf("core: NewExec predBits %d out of range [1,bits)", e.predBits))
 	}
+	e.dense = e.dense || e.bits != 4 || e.predBits != 2
 	return e
 }
 
@@ -175,25 +166,18 @@ func (e *Exec) Threshold() float32 { return e.threshold }
 func (e *Exec) lowBits() int { return e.bits - e.predBits }
 
 // weightCodes bundles a layer's cached high/low weight-code split with the
-// bit-planar forms the sparse kernels consume (one row per output
+// bit-planar forms the bitplane kernels consume (one row per output
 // channel, InC·K·K lanes in the (kh, kw, c) order of
-// tensor.PackConvRows). The bitplanes are skipped on the dense reference
-// path, which reads the row-major int32 codes directly. hi and lo are the
-// two halves of hiLo, the stacked row-major [hi; lo] code matrix
-// (2·OutC rows): the A operand that gives the high-density executor
-// branch LH and LL from one int-GEMM.
+// tensor.PackConvRows). The bitplanes are skipped on the int-GEMM path,
+// which reads the row-major int32 codes directly.
 type weightCodes struct {
 	hi, lo     *tensor.IntTensor
-	hiLo       []int32
 	hiBP, loBP *tensor.Bitplanes
 }
 
 func (e *Exec) buildWeightCodes(layer *nn.Conv2D) *weightCodes {
-	q := quant.WeightCodes(layer.EffectiveWeight(), e.bits)
-	n := len(q.Data)
-	hiLo := make([]int32, 2*n)
-	hi, lo := quant.SplitCodesRoundedInto(hiLo[:n:n], hiLo[n:], q, e.lowBits(), true)
-	wc := &weightCodes{hi: hi, lo: lo, hiLo: hiLo}
+	hi, lo := quant.SplitCodesRounded(quant.WeightCodes(layer.EffectiveWeight(), e.bits), e.lowBits(), true)
+	wc := &weightCodes{hi: hi, lo: lo}
 	if !e.dense {
 		outC, inC, k := hi.Shape[0], hi.Shape[1], hi.Shape[2]
 		lanes := inC * k * k
@@ -313,9 +297,9 @@ func (e *Exec) convQ(in actInput, layer *nn.Conv2D, epi *Epilogue) (*tensor.Tens
 
 	var sensitive int64
 	if e.dense {
-		// Reference two-stage path: batch-wide codes and splits, batched
-		// int-GEMM predictor, then dense result generation, then
-		// (optionally) the epilogue as a post-pass over the float tensor.
+		// Int-GEMM path: batch-wide codes and splits, batched int-GEMM
+		// predictor, then dense result generation, then (optionally) the
+		// epilogue as a post-pass over the float tensor.
 		xh, xl := e.batchSplit(in, g)
 		spPred := telemetry.StartSpan("odq.predictor")
 		predAcc := tensor.GetInt64(total)
@@ -367,7 +351,7 @@ func (e *Exec) convQ(in actInput, layer *nn.Conv2D, epi *Epilogue) (*tensor.Tens
 	return out, packed
 }
 
-// batchSplit is the dense reference's batch-wide front end: the whole
+// batchSplit is the int-GEMM path's batch-wide front end: the whole
 // batch's codes split into high and low tensors over pooled scratch (the
 // high part overwrites the codes in place).
 func (e *Exec) batchSplit(in actInput, g tensor.ConvGeom) (xh, xl *tensor.IntTensor) {
@@ -482,41 +466,26 @@ func intCut(seg []int64, predScale, th float32) (meanAbs float64, lim int64, ok 
 	return meanAbs, lo, true
 }
 
-// bitplaneGEMMCutover is the realized-density point where the executor
-// switches from per-output bitplane dot products to batched int-GEMM
-// partials, on plane splits that tensor.BitplanePartials does not fuse
-// (tensor.FusedPartials is false). Below it, skipping insensitive outputs
-// wins; above it, the blocked (AVX2 where available) GEMM's throughput
-// beats per-output scatter even though it computes everything. The
-// paper-default split runs the fused row kernels at every density. Both
-// branches are exact integer arithmetic into the same fuse(), so the
-// switch is invisible in the output — it only moves work.
-const bitplaneGEMMCutover = 0.45
-
-// resultBitplane is the sparse execution path: per sample, the task
-// quantizes (or unpacks) and splits its own activations, the high codes
-// are bitplane-packed straight from the [C,H,W] codes
-// (tensor.PackConvRows: one bitstream per input row and plane, rows
-// built from K bit-fields; no im2col matrix is ever materialized), the
+// resultBitplane is the 4/2 split's sparse execution path: per sample,
+// the task quantizes (or unpacks) and splits its own activations, the
+// high codes are bitplane-packed straight from the [C,H,W] codes
+// (tensor.PackConvRows: one bitstream per input row and plane, rows built
+// from K bit-fields; no im2col matrix is ever materialized), the
 // sensitivity predictor runs as AND+POPCNT row products
 // (tensor.BitplaneMulRow), and the executor computes the three remaining
 // partials only as directed by the realized mask: one
 // tensor.BitplanePartials row call per output channel, then the fuse of
-// its sensitive outputs. On a split those partials do not fuse, a sample
-// whose density reaches bitplaneGEMMCutover runs wide int-GEMM partials
-// instead: HL = lo·im2col(xh) and the stacked [LH; LL] =
-// [hi; lo]·im2col(xl), two implicit GEMMs (tensor.ConvGemmInt) that pack
-// their panels straight from the codes. Exact integer arithmetic end to
-// end keeps it bit-identical to the dense reference; the shared fuse()
-// keeps the float combination identical. Writes requantized codes
-// directly when ev is non-nil (fused epilogue), float partial sums into
-// out otherwise. Returns the sensitive count.
+// its sensitive outputs. Exact integer arithmetic end to end keeps it
+// bit-identical to the int-GEMM path; the shared fuse() keeps the float
+// combination identical. Writes requantized codes directly when ev is
+// non-nil (fused epilogue), float partial sums into out otherwise.
+// Returns the sensitive count.
 //
 // A batch with at least as many samples as the shared pool has workers
 // runs one pool task per sample, each with its own scratch and serial
 // per-outC loops; smaller batches run their samples in turn and fan each
-// one out over output channels. Either way e.workers caps the fan-out,
-// and every output is written by exactly one task.
+// one out over output channels. Every output is written by exactly one
+// task.
 func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, mask []bool,
 	in actInput, wc *weightCodes, g tensor.ConvGeom,
 	predScale, th, sHL, sLH, sLL float32) int64 {
@@ -530,7 +499,7 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 	whBP, wlBP := wc.hiBP, wc.loBP
 
 	// sample runs one sample end to end with its outC loops capped at
-	// inner workers and returns its sensitive count.
+	// inner workers (0: the whole pool) and returns its sensitive count.
 	sample := func(s, inner int) int64 {
 		spPred := telemetry.StartSpan("odq.predictor")
 		xh, xl := tensor.GetInt32(per), tensor.GetInt32(per)
@@ -550,52 +519,29 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 
 		spExec := telemetry.StartSpan("odq.executor")
 		sampleBase := s * perSample
-		xlBP := &tensor.Bitplanes{R: cols, L: rows, P: lowBits + 1, W: tensor.BitplaneWords(rows), Signed: true}
-		if !tensor.FusedPartials(xhBP, xlBP, whBP, wlBP) && float64(sens) >= bitplaneGEMMCutover*float64(perSample) {
-			hlAcc := tensor.GetInt64(perSample)
-			lhll := tensor.GetInt64(2 * perSample)
-			tensor.ConvGemmInt(wc.lo.Data, xh, g, hlAcc, outC)
-			tensor.ConvGemmInt(wc.hiLo, xl, g, lhll, 2*outC)
-			lhAcc, llAcc := lhll[:perSample], lhll[perSample:]
-			pool.ParallelLimited(inner, outC, func(oc int) {
-				for i := oc * cols; i < (oc+1)*cols; i++ {
-					v := float32(predAcc[i]) * predScale
-					if mseg[i] {
-						v = fuse(predAcc[i], hlAcc[i], lhAcc[i], llAcc[i], predScale, sHL, sLH, sLL)
-					}
-					if ev != nil {
-						codes[sampleBase+i] = ev.code(v, oc)
-					} else {
-						out.Data[sampleBase+i] = v
-					}
+		xlBP := &tensor.Bitplanes{R: cols, L: rows, P: lowBits + 1, W: tensor.BitplaneWords(rows), Signed: true,
+			Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, lowBits+1))}
+		tensor.PackConvRows(xl, g, xlBP)
+		pool.ParallelLimited(inner, outC, func(oc int) {
+			base := oc * cols
+			part := tensor.GetInt64(3 * cols)
+			tensor.BitplanePartials(part, xhBP, xlBP, whBP, wlBP, oc, mseg[base:base+cols])
+			hl, lh, ll := part[:cols], part[cols:2*cols], part[2*cols:3*cols]
+			for j := 0; j < cols; j++ {
+				i := base + j
+				v := float32(predAcc[i]) * predScale
+				if mseg[i] {
+					v = fuse(predAcc[i], hl[j], lh[j], ll[j], predScale, sHL, sLH, sLL)
 				}
-			})
-			tensor.PutInt64(hlAcc)
-			tensor.PutInt64(lhll)
-		} else {
-			xlBP.Data = tensor.GetUint64(tensor.BitplaneSize(cols, rows, lowBits+1))
-			tensor.PackConvRows(xl, g, xlBP)
-			pool.ParallelLimited(inner, outC, func(oc int) {
-				base := oc * cols
-				part := tensor.GetInt64(3 * cols)
-				tensor.BitplanePartials(part, xhBP, xlBP, whBP, wlBP, oc, mseg[base:base+cols])
-				hl, lh, ll := part[:cols], part[cols:2*cols], part[2*cols:3*cols]
-				for j := 0; j < cols; j++ {
-					i := base + j
-					v := float32(predAcc[i]) * predScale
-					if mseg[i] {
-						v = fuse(predAcc[i], hl[j], lh[j], ll[j], predScale, sHL, sLH, sLL)
-					}
-					if ev != nil {
-						codes[sampleBase+i] = ev.code(v, oc)
-					} else {
-						out.Data[sampleBase+i] = v
-					}
+				if ev != nil {
+					codes[sampleBase+i] = ev.code(v, oc)
+				} else {
+					out.Data[sampleBase+i] = v
 				}
-				tensor.PutInt64(part)
-			})
-			tensor.PutUint64(xlBP.Data)
-		}
+			}
+			tensor.PutInt64(part)
+		})
+		tensor.PutUint64(xlBP.Data)
 		spExec.End()
 		tensor.PutInt64(predAcc)
 		tensor.PutUint64(xhBP.Data)
@@ -607,12 +553,12 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 	if n < pool.Size() {
 		var sensitive int64
 		for s := 0; s < n; s++ {
-			sensitive += sample(s, e.workers)
+			sensitive += sample(s, 0)
 		}
 		return sensitive
 	}
 	sens := tensor.GetInt64(n)
-	pool.ParallelLimited(e.workers, n, func(s int) { sens[s] = sample(s, 1) })
+	pool.ParallelN(n, func(s int) { sens[s] = sample(s, 1) })
 	var sensitive int64
 	for _, c := range sens {
 		sensitive += c
@@ -621,10 +567,10 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 	return sensitive
 }
 
-// resultDense is the dense-compute-then-select reference: all three
+// resultDense is the int-GEMM path's result generation: all three
 // partials are computed for every output and discarded where the mask is
-// false. Kept (behind WithDenseReference) as the parity oracle for
-// resultBitplane.
+// false. It is the engine of every split but 4/2, and the parity oracle
+// of resultBitplane (WithDenseReference).
 func (e *Exec) resultDense(out *tensor.Tensor, predAcc []int64, mask []bool,
 	xh, xl, wh, wl *tensor.IntTensor, layer *nn.Conv2D,
 	predScale, sHL, sLH, sLL float32) {

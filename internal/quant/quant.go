@@ -293,53 +293,6 @@ func WeightCodes(w *tensor.Tensor, bits int) *tensor.IntTensor {
 	return out
 }
 
-// SplitCodes splits each code into its high-order and low-order parts
-// using the exact two's-complement identity c = (c>>n)<<n + (c & (2^n−1)).
-// The high tensor's scale absorbs the 2^n shift so hi.Dequantize() +
-// lo.Dequantize() reconstructs the original real values exactly. Use this
-// split for unsigned activation codes.
-func SplitCodes(t *tensor.IntTensor, lowBits int) (hi, lo *tensor.IntTensor) {
-	mask := int32(1<<uint(lowBits)) - 1
-	hi = tensor.NewInt(t.Bits-lowBits, t.Scale*float32(int32(1)<<uint(lowBits)), t.Shape...)
-	lo = tensor.NewInt(lowBits, t.Scale, t.Shape...)
-	for i, c := range t.Data {
-		hi.Data[i] = c >> uint(lowBits)
-		lo.Data[i] = c & mask
-	}
-	return hi, lo
-}
-
-// SplitCodesSigned splits signed codes sign-magnitude style:
-// hi = sign(c)·(|c|>>n), lo = sign(c)·(|c| & (2^n−1)), so that
-// c = hi<<n + lo exactly while the low part stays zero-centered
-// (lo ∈ [−(2^n−1), 2^n−1]). This is the split ODQ needs for weights: with
-// a two's-complement split the low parts would be systematically
-// non-negative and the predictor (high×high) term would carry a large
-// bias on the insensitive outputs it approximates; the sign-magnitude
-// split makes the dropped partial products zero-mean, which is what makes
-// "the output is dominated by the high-order bits" (paper §3) hold.
-func SplitCodesSigned(t *tensor.IntTensor, lowBits int) (hi, lo *tensor.IntTensor) {
-	mask := int32(1<<uint(lowBits)) - 1
-	hi = tensor.NewInt(t.Bits-lowBits, t.Scale*float32(int32(1)<<uint(lowBits)), t.Shape...)
-	lo = tensor.NewInt(lowBits, t.Scale, t.Shape...)
-	for i, c := range t.Data {
-		neg := c < 0
-		a := c
-		if neg {
-			a = -a
-		}
-		h := a >> uint(lowBits)
-		l := a & mask
-		if neg {
-			h = -h
-			l = -l
-		}
-		hi.Data[i] = h
-		lo.Data[i] = l
-	}
-	return hi, lo
-}
-
 // SplitCodesRounded splits codes with *round-to-nearest* high parts:
 // hi = clamp(round(c / 2^n)), lo = c − hi·2^n. Compared with truncation
 // this shrinks the predictor's dead zone to |c| ≤ 2^(n−1)−1 (nearly every
@@ -436,7 +389,7 @@ func ConvAccumInto(acc []int64, x, w *tensor.IntTensor, stride, pad int) tensor.
 	per := g.InC * g.InH * g.InW
 	// Samples are independent: fan them out on the shared worker pool.
 	tensor.DefaultPool().ParallelN(n, func(s int) {
-		tensor.ConvGemmInt(w.Data, x.Data[s*per:(s+1)*per], g, acc[s*g.OutC*cols:(s+1)*g.OutC*cols], g.OutC)
+		tensor.ConvGemmInt(w.Data, x.Data[s*per:(s+1)*per], g, acc[s*g.OutC*cols:(s+1)*g.OutC*cols])
 	})
 	return g
 }

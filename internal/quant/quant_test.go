@@ -72,111 +72,6 @@ func TestWeightCodesZeroTensor(t *testing.T) {
 	}
 }
 
-func TestSplitCodesExactRecomposition(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := tensor.NewRNG(seed)
-		x := tensor.New(64)
-		rng.FillNormal(x, 0, 0.5)
-		q := WeightCodes(x, 4)
-		hi, lo := SplitCodes(q, 2)
-		for i, c := range q.Data {
-			if hi.Data[i]<<2+lo.Data[i] != c {
-				return false
-			}
-			if lo.Data[i] < 0 || lo.Data[i] > 3 {
-				return false
-			}
-			if hi.Data[i] < -2 || hi.Data[i] > 1 {
-				return false
-			}
-		}
-		// Dequantized halves must sum to the dequantized whole.
-		whole := q.Dequantize()
-		sum := hi.Dequantize()
-		sum.Add(lo.Dequantize())
-		return tensor.MaxAbsDiff(whole, sum) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitCodesUnsignedActs(t *testing.T) {
-	x := tensor.New(32)
-	tensor.NewRNG(4).FillUniform(x, 0, 1)
-	q := ActCodes(x, 4)
-	hi, lo := SplitCodes(q, 2)
-	for i, c := range q.Data {
-		if hi.Data[i]<<2+lo.Data[i] != c {
-			t.Fatal("unsigned split must recompose")
-		}
-		if hi.Data[i] < 0 || hi.Data[i] > 3 {
-			t.Fatalf("unsigned high part out of range: %d", hi.Data[i])
-		}
-	}
-}
-
-func TestSplitCodesSignedProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := tensor.NewRNG(seed)
-		x := tensor.New(64)
-		rng.FillNormal(x, 0, 0.5)
-		q := WeightCodes(x, 4)
-		hi, lo := SplitCodesSigned(q, 2)
-		for i, c := range q.Data {
-			if hi.Data[i]<<2+lo.Data[i] != c {
-				return false
-			}
-			if lo.Data[i] < -3 || lo.Data[i] > 3 {
-				return false
-			}
-			if hi.Data[i] < -1 || hi.Data[i] > 1 {
-				return false
-			}
-			// Signs must agree (sign-magnitude split).
-			if c > 0 && (hi.Data[i] < 0 || lo.Data[i] < 0) {
-				return false
-			}
-			if c < 0 && (hi.Data[i] > 0 || lo.Data[i] > 0) {
-				return false
-			}
-		}
-		whole := q.Dequantize()
-		sum := hi.Dequantize()
-		sum.Add(lo.Dequantize())
-		return tensor.MaxAbsDiff(whole, sum) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSignedSplitLowPartZeroMean(t *testing.T) {
-	// The whole point of the sign-magnitude split: over symmetric
-	// weights the low parts average to ~0, so the predictor term is an
-	// unbiased estimate of the full sum. The two's-complement split
-	// has strictly non-negative low parts instead.
-	rng := tensor.NewRNG(42)
-	w := tensor.New(4096)
-	rng.FillNormal(w, 0, 0.4)
-	q := WeightCodes(w, 4)
-	_, loS := SplitCodesSigned(q, 2)
-	_, loU := SplitCodes(q, 2)
-	var sumS, sumU float64
-	for i := range loS.Data {
-		sumS += float64(loS.Data[i])
-		sumU += float64(loU.Data[i])
-	}
-	meanS := sumS / float64(loS.Len())
-	meanU := sumU / float64(loU.Len())
-	if math.Abs(meanS) > 0.2 {
-		t.Fatalf("signed split low-part mean %v not near zero", meanS)
-	}
-	if meanU < 0.5 {
-		t.Fatalf("two's-complement low-part mean %v should be clearly positive", meanU)
-	}
-}
-
 func TestSplitCodesRoundedExactAndBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
@@ -274,8 +169,8 @@ func TestFourPartComposition(t *testing.T) {
 	qw := WeightCodes(w, 4)
 	full, g := ConvAccum(qx, qw, 1, 1)
 
-	xh, xl := SplitCodes(qx, 2)
-	wh, wl := SplitCodesSigned(qw, 2) // mixed splits, as the ODQ executor uses
+	xh, xl := SplitCodesRounded(qx, 2, false)
+	wh, wl := SplitCodesRounded(qw, 2, true) // the splits the ODQ executor uses
 	hh, _ := ConvAccum(xh, wh, 1, 1)
 	hl, _ := ConvAccum(xh, wl, 1, 1)
 	lh, _ := ConvAccum(xl, wh, 1, 1)

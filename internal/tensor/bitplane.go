@@ -274,26 +274,26 @@ func BitplaneDot(a *Bitplanes, ra int, b *Bitplanes, rb int) int64 {
 // is an exact integer in either set, so the two agree bit for bit.
 
 // BitplaneMulRow computes dst[j] = dot(a[ra], b[j]) for every row j of b —
-// one output-channel row of the HBS×HBS predictor product against all
-// output positions. The 2×2-plane case runs rowDot2x2 (or its AVX-512
-// twin); other plane counts take the generic rowDot.
+// one output-channel row of the HBS×HBS predictor product of the paper's
+// 4/2 split against all output positions — on rowDot2x2 (or its AVX-512
+// twin). Both operands must have 2 planes, of either signedness; any other
+// plane count panics before dst is written.
 func BitplaneMulRow(dst []int64, a *Bitplanes, ra int, b *Bitplanes) {
 	if a.W != b.W || a.L != b.L {
 		panic("tensor: BitplaneMulRow lane geometry mismatch")
+	}
+	if a.P != 2 || b.P != 2 {
+		panic(fmt.Sprintf("tensor: BitplaneMulRow runs 2×2 planes, got %d×%d", a.P, b.P))
 	}
 	if len(dst) < b.R {
 		panic("tensor: BitplaneMulRow dst too small")
 	}
 	mustHold("BitplaneMulRow", a, b)
-	if a.P != 2 || b.P != 2 || b.W == 0 {
-		rowDot(dst, a, ra, b)
-		return
-	}
 	var buf [2 * 16]uint64
 	wt, pooled := weightScratch(buf[:], 2*a.W)
 	gatherWeights(wt, ra, a)
 	r0 := 0
-	if useAsmPopcnt && b.R >= 8 {
+	if useAsmPopcnt && b.R >= 8 && b.W > 0 {
 		r0 = b.R &^ 7
 		rowDot2x2AVX512(&dst[0], &wt[0], &b.Data[0], r0/8, b.W, b.R, signMask(a.Signed), signMask(b.Signed))
 	}
@@ -339,57 +339,6 @@ func gatherWeights(wt []uint64, r int, a ...*Bitplanes) {
 	}
 }
 
-// gatherRow copies row r of x into row-major order: word k of plane p at
-// dst[p*W+k]. The generic path gathers each row it dots, so its plane-pair
-// reductions run over contiguous words.
-func gatherRow(dst []uint64, x *Bitplanes, r int) {
-	for q := range dst[:x.P*x.W] {
-		dst[q] = x.Data[q*x.R+r]
-	}
-}
-
-// dotRows is BitplaneDot over two rows from gatherRow: a of ap planes, b
-// of bp planes, w words per plane.
-func dotRows(a []uint64, ap int, aSigned bool, b []uint64, bp int, bSigned bool, w int) int64 {
-	var total int64
-	for i := 0; i < ap; i++ {
-		wi := planeWeight(i, ap, aSigned)
-		ai := a[i*w : (i+1)*w]
-		for q := 0; q < bp; q++ {
-			bq := b[q*w : (q+1)*w]
-			var pc int
-			for k, av := range ai {
-				pc += bits.OnesCount64(av & bq[k])
-			}
-			total += wi * planeWeight(q, bp, bSigned) * int64(pc)
-		}
-	}
-	return total
-}
-
-// rowDot is the generic predictor row kernel, for plane counts other than
-// 2×2: like rowDot2x2 it reads one plane word of the run of consecutive
-// positions at a time, and adds that word's weighted AND+POPCNT term
-// against each plane of row ra of a to dst.
-func rowDot(dst []int64, a *Bitplanes, ra int, b *Bitplanes) {
-	w, r := b.W, b.R
-	d := dst[:r]
-	clear(d)
-	for k := 0; k < w; k++ {
-		for q := 0; q < b.P; q++ {
-			bq := b.Data[(q*w+k)*r : (q*w+k+1)*r]
-			bq = bq[:len(d)]
-			wq := planeWeight(q, b.P, b.Signed)
-			for i := 0; i < a.P; i++ {
-				av, wt := a.word(i, k, ra), wq*planeWeight(i, a.P, a.Signed)
-				for j, x := range bq {
-					d[j] += wt * int64(bits.OnesCount64(x&av))
-				}
-			}
-		}
-	}
-}
-
 // rowDot2x2 is the scalar 2×2-plane predictor kernel for rows [r0, R) of
 // b, with wt the weight row from gatherWeights and wa the weight of its
 // top plane. It runs word by word: each pass reads one plane word of the
@@ -423,40 +372,23 @@ func rowDot2x2(dst []int64, wt []uint64, b *Bitplanes, wa int64, r0 int) {
 // into dst[j], dst[R+j] and dst[2R+j], R = xh.R. Entries of positions
 // whose mask is false are unspecified: the vector kernel computes whole
 // blocks of eight positions and skips a block only when none of its
-// eight is sensitive. On the paper-default split (xh unsigned 2-plane,
-// wh signed 2-plane, xl and wl signed 3-plane) the 21 plane-pair
-// reductions run fused (rowPartials23, or its AVX-512 twin); other
-// geometries gather each sensitive position's words (gatherRow) and take
-// three dotRows.
+// eight is sensitive. The operands must have the planes of the paper's
+// 4/2 split (xh unsigned 2-plane, wh signed 2-plane, xl and wl signed
+// 3-plane), whose 21 plane-pair reductions run fused (rowPartials23, or
+// its AVX-512 twin); any other geometry panics before dst is written.
 func BitplanePartials(dst []int64, xh, xl, wh, wl *Bitplanes, oc int, mask []bool) {
 	r := xh.R
 	if xl.R != r || wh.R != wl.R || xh.W != xl.W || xh.W != wh.W || xh.W != wl.W ||
 		xh.L != xl.L || xh.L != wh.L || xh.L != wl.L {
 		panic("tensor: BitplanePartials geometry mismatch")
 	}
+	if xh.P != 2 || xh.Signed || xl.P != 3 || !xl.Signed || wh.P != 2 || !wh.Signed || wl.P != 3 || !wl.Signed {
+		panic("tensor: BitplanePartials runs the 4/2 split's planes only")
+	}
 	if len(dst) < 3*r || len(mask) < r {
 		panic("tensor: BitplanePartials dst or mask too small")
 	}
 	mustHold("BitplanePartials", xh, xl, wh, wl)
-	if !FusedPartials(xh, xl, wh, wl) {
-		w := xh.W
-		buf := GetUint64((xh.P + xl.P + wh.P + wl.P) * w)
-		o1, o2, o3 := wh.P*w, (wh.P+wl.P)*w, (wh.P+wl.P+xh.P)*w
-		rh, rl, xhr, xlr := buf[:o1], buf[o1:o2], buf[o2:o3], buf[o3:]
-		gatherRow(rh, wh, oc)
-		gatherRow(rl, wl, oc)
-		for j, m := range mask[:r] {
-			if m {
-				gatherRow(xhr, xh, j)
-				gatherRow(xlr, xl, j)
-				dst[j] = dotRows(xhr, xh.P, xh.Signed, rl, wl.P, wl.Signed, w)
-				dst[r+j] = dotRows(xlr, xl.P, xl.Signed, rh, wh.P, wh.Signed, w)
-				dst[2*r+j] = dotRows(xlr, xl.P, xl.Signed, rl, wl.P, wl.Signed, w)
-			}
-		}
-		PutUint64(buf)
-		return
-	}
 	var buf [5 * 16]uint64
 	wt, pooled := weightScratch(buf[:], 5*xh.W)
 	gatherWeights(wt, oc, wh, wl)
@@ -471,16 +403,6 @@ func BitplanePartials(dst []int64, xh, xl, wh, wl *Bitplanes, oc int, mask []boo
 	}
 }
 
-// FusedPartials reports whether BitplanePartials runs its fused kernels
-// (rowPartials23 or the AVX-512 twin) for operands of these plane
-// geometries, the paper-default split; Data need not be set. The ODQ
-// executor's branch rule reads it: only the per-position path of the other
-// splits loses to the int-GEMM partials on dense samples.
-func FusedPartials(xh, xl, wh, wl *Bitplanes) bool {
-	return xh.P == 2 && !xh.Signed && xl.P == 3 && xl.Signed &&
-		wh.P == 2 && wh.Signed && wl.P == 3 && wl.Signed
-}
-
 // mustHold panics unless each operand's Data holds the P·W·R words a row
 // kernel reads. The assembly reads through raw pointers, so this is the
 // bounds check Go's slicing would otherwise make.
@@ -492,8 +414,8 @@ func mustHold(op string, xs ...*Bitplanes) {
 	}
 }
 
-// rowPartials23 is the scalar fused executor kernel for positions [r0, R)
-// on the paper-default split, with wt the weight row in gatherWeights'
+// rowPartials23 is the scalar fused executor kernel for positions [r0, R),
+// with wt the weight row in gatherWeights'
 // order (wh0, wh1, wl0, wl1, wl2 per word). A block of eight positions
 // with no sensitive one costs one 8-byte test; in the others, each
 // sensitive position runs the 21 plane-pair reductions over every word

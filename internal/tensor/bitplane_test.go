@@ -101,25 +101,28 @@ func TestBitplaneDotExtremes(t *testing.T) {
 }
 
 // TestBitplaneMulRowParity checks the row-times-matrix kernel on a
-// predictor-shaped product (OutC rows x cols positions) with a tail word,
-// for the 2×2-plane predictor and the generic path (4×4 planes).
+// predictor-shaped product (OutC rows x cols positions, 2×2 planes) with
+// a tail word, and with zero lanes, where every dot is 0.
 func TestBitplaneMulRowParity(t *testing.T) {
 	rng := NewRNG(12)
-	const lanes, outC, cols = 99, 7, 23
-	for _, planes := range []int{2, 4} {
-		w := randCodes(rng, outC*lanes, planes, true)
-		x := randCodes(rng, cols*lanes, planes, false)
-		wbp := NewBitplanes(outC, lanes, planes, true)
-		xbp := NewBitplanes(cols, lanes, planes, false)
+	const outC, cols = 7, 23
+	for _, lanes := range []int{99, 0} {
+		w := randCodes(rng, outC*lanes, 2, true)
+		x := randCodes(rng, cols*lanes, 2, false)
+		wbp := NewBitplanes(outC, lanes, 2, true)
+		xbp := NewBitplanes(cols, lanes, 2, false)
 		wbp.PackRows(w)
 		xbp.PackRows(x)
 		dst := make([]int64, cols)
 		for oc := 0; oc < outC; oc++ {
+			for j := range dst {
+				dst[j] = -1 // stale scratch
+			}
 			BitplaneMulRow(dst, wbp, oc, xbp)
 			for j := 0; j < cols; j++ {
 				want := scalarDot(w[oc*lanes:(oc+1)*lanes], x[j*lanes:(j+1)*lanes])
 				if dst[j] != want {
-					t.Fatalf("planes=%d oc=%d j=%d: got %d want %d", planes, oc, j, dst[j], want)
+					t.Fatalf("lanes=%d oc=%d j=%d: got %d want %d", lanes, oc, j, dst[j], want)
 				}
 			}
 		}
@@ -169,56 +172,50 @@ func TestBitplaneDotConcurrent(t *testing.T) {
 }
 
 // TestBitplanePartialsParity checks the executor's row call against
-// scalar dots, on the paper-default plane geometry (fused kernels) and on
-// the INT8-extension geometry (the gathered generic path), across tail-word
-// lane counts (zero lanes included) and position counts below, at and
-// past one block of eight.
+// scalar dots, on the 4/2 split's plane geometry, across tail-word lane
+// counts (zero lanes included) and position counts below, at and past
+// one block of eight.
 func TestBitplanePartialsParity(t *testing.T) {
 	rng := NewRNG(16)
-	type geom struct {
-		xhP, xlP int
-	}
-	for _, g := range []geom{{2, 3}, {4, 5}} {
-		for _, lanes := range []int{0, 1, 63, 64, 65, 144, 200} {
-			for _, cols := range []int{5, 8, 21} {
-				const outC = 4
-				xhC := randCodes(rng, cols*lanes, g.xhP, false)
-				xlC := randCodes(rng, cols*lanes, g.xlP, true)
-				whC := randCodes(rng, outC*lanes, g.xhP, true)
-				wlC := randCodes(rng, outC*lanes, g.xlP, true)
-				xh := NewBitplanes(cols, lanes, g.xhP, false)
-				xl := NewBitplanes(cols, lanes, g.xlP, true)
-				wh := NewBitplanes(outC, lanes, g.xhP, true)
-				wl := NewBitplanes(outC, lanes, g.xlP, true)
-				xh.PackRows(xhC)
-				xl.PackRows(xlC)
-				wh.PackRows(whC)
-				wl.PackRows(wlC)
-				mask := make([]bool, cols)
-				for j := range mask {
-					mask[j] = true
+	for _, lanes := range []int{0, 1, 63, 64, 65, 144, 200} {
+		for _, cols := range []int{5, 8, 21} {
+			const outC = 4
+			xhC := randCodes(rng, cols*lanes, 2, false)
+			xlC := randCodes(rng, cols*lanes, 3, true)
+			whC := randCodes(rng, outC*lanes, 2, true)
+			wlC := randCodes(rng, outC*lanes, 3, true)
+			xh := NewBitplanes(cols, lanes, 2, false)
+			xl := NewBitplanes(cols, lanes, 3, true)
+			wh := NewBitplanes(outC, lanes, 2, true)
+			wl := NewBitplanes(outC, lanes, 3, true)
+			xh.PackRows(xhC)
+			xl.PackRows(xlC)
+			wh.PackRows(whC)
+			wl.PackRows(wlC)
+			mask := make([]bool, cols)
+			for j := range mask {
+				mask[j] = true
+			}
+			dst := make([]int64, 3*cols)
+			for oc := 0; oc < outC; oc++ {
+				for i := range dst {
+					dst[i] = -1 // stale scratch
 				}
-				dst := make([]int64, 3*cols)
-				for oc := 0; oc < outC; oc++ {
-					for i := range dst {
-						dst[i] = -1 // stale scratch
+				BitplanePartials(dst, xh, xl, wh, wl, oc, mask)
+				for j := 0; j < cols; j++ {
+					hl, lh, ll := dst[j], dst[cols+j], dst[2*cols+j]
+					xhRow := xhC[j*lanes : (j+1)*lanes]
+					xlRow := xlC[j*lanes : (j+1)*lanes]
+					whRow := whC[oc*lanes : (oc+1)*lanes]
+					wlRow := wlC[oc*lanes : (oc+1)*lanes]
+					if want := scalarDot(xhRow, wlRow); hl != want {
+						t.Fatalf("lanes=%d j=%d oc=%d: hl=%d want %d", lanes, j, oc, hl, want)
 					}
-					BitplanePartials(dst, xh, xl, wh, wl, oc, mask)
-					for j := 0; j < cols; j++ {
-						hl, lh, ll := dst[j], dst[cols+j], dst[2*cols+j]
-						xhRow := xhC[j*lanes : (j+1)*lanes]
-						xlRow := xlC[j*lanes : (j+1)*lanes]
-						whRow := whC[oc*lanes : (oc+1)*lanes]
-						wlRow := wlC[oc*lanes : (oc+1)*lanes]
-						if want := scalarDot(xhRow, wlRow); hl != want {
-							t.Fatalf("planes=%v lanes=%d j=%d oc=%d: hl=%d want %d", g, lanes, j, oc, hl, want)
-						}
-						if want := scalarDot(xlRow, whRow); lh != want {
-							t.Fatalf("planes=%v lanes=%d j=%d oc=%d: lh=%d want %d", g, lanes, j, oc, lh, want)
-						}
-						if want := scalarDot(xlRow, wlRow); ll != want {
-							t.Fatalf("planes=%v lanes=%d j=%d oc=%d: ll=%d want %d", g, lanes, j, oc, ll, want)
-						}
+					if want := scalarDot(xlRow, whRow); lh != want {
+						t.Fatalf("lanes=%d j=%d oc=%d: lh=%d want %d", lanes, j, oc, lh, want)
+					}
+					if want := scalarDot(xlRow, wlRow); ll != want {
+						t.Fatalf("lanes=%d j=%d oc=%d: ll=%d want %d", lanes, j, oc, ll, want)
 					}
 				}
 			}
@@ -229,7 +226,7 @@ func TestBitplanePartialsParity(t *testing.T) {
 // TestPackConvRowsParity checks the conv packer end to end: rows from
 // PackConvRows against weight rows from PackConvWeights, both in
 // (kh, kw, c) lane order, must give the scalar dot of the (c, kh, kw)
-// im2col row with the unpermuted weight row — through BitplaneMulRow and
+// im2col row with the unpermuted weight row — through rowProducts and
 // BitplanePartials — for kernel-row fields that fill, straddle and span
 // words, every kernel size the models use, stride 2, padding 0–2, and
 // codes of one byte pass and of two.
@@ -263,7 +260,7 @@ func TestPackConvRowsParity(t *testing.T) {
 							wbp.PackConvWeights(wc, inC, k)
 							dst := make([]int64, cols)
 							for oc := 0; oc < outC; oc++ {
-								BitplaneMulRow(dst, wbp, oc, xbp)
+								rowProducts(dst, wbp, oc, xbp)
 								for j := 0; j < cols; j++ {
 									want := scalarDot(wc[oc*rows:(oc+1)*rows], xT[j*rows:(j+1)*rows])
 									if dst[j] != want {
@@ -275,45 +272,42 @@ func TestPackConvRowsParity(t *testing.T) {
 							PutUint64(xbp.Data)
 						}
 					}
-					// The three executor partials, on the fused ODQ geometry
-					// and on the generic fallback.
-					for _, pl := range []struct{ hiP, loP int }{{2, 3}, {5, 5}} {
-						xhC := randCodes(rng, inC*h*w, pl.hiP, false)
-						xlC := randCodes(rng, inC*h*w, pl.loP, true)
-						whC := randCodes(rng, outC*rows, pl.hiP, true)
-						wlC := randCodes(rng, outC*rows, pl.loP, true)
-						xh := poisonedBitplanes(cols, rows, pl.hiP, false)
-						xl := poisonedBitplanes(cols, rows, pl.loP, true)
-						PackConvRows(xhC, g, xh)
-						PackConvRows(xlC, g, xl)
-						wh := NewBitplanes(outC, rows, pl.hiP, true)
-						wl := NewBitplanes(outC, rows, pl.loP, true)
-						wh.PackConvWeights(whC, inC, k)
-						wl.PackConvWeights(wlC, inC, k)
-						xhT, xlT := make([]int32, rows*cols), make([]int32, rows*cols)
-						im2colIntT(xhC, g, xhT)
-						im2colIntT(xlC, g, xlT)
-						mask := make([]bool, cols)
-						for j := range mask {
-							mask[j] = true
-						}
-						part := make([]int64, 3*cols)
-						for oc := 0; oc < outC; oc++ {
-							BitplanePartials(part, xh, xl, wh, wl, oc, mask)
-							for j := 0; j < cols; j++ {
-								hl, lh, ll := part[j], part[cols+j], part[2*cols+j]
-								xhRow, xlRow := xhT[j*rows:(j+1)*rows], xlT[j*rows:(j+1)*rows]
-								whRow, wlRow := whC[oc*rows:(oc+1)*rows], wlC[oc*rows:(oc+1)*rows]
-								if hl != scalarDot(xhRow, wlRow) || lh != scalarDot(xlRow, whRow) || ll != scalarDot(xlRow, wlRow) {
-									t.Fatalf("C=%d K=%d s=%d pad=%d planes=%+v j=%d oc=%d: partials (%d,%d,%d) want (%d,%d,%d)",
-										inC, k, stride, pad, pl, j, oc, hl, lh, ll,
-										scalarDot(xhRow, wlRow), scalarDot(xlRow, whRow), scalarDot(xlRow, wlRow))
-								}
+					// The three executor partials, on the 4/2 split's planes.
+					xhC := randCodes(rng, inC*h*w, 2, false)
+					xlC := randCodes(rng, inC*h*w, 3, true)
+					whC := randCodes(rng, outC*rows, 2, true)
+					wlC := randCodes(rng, outC*rows, 3, true)
+					xh := poisonedBitplanes(cols, rows, 2, false)
+					xl := poisonedBitplanes(cols, rows, 3, true)
+					PackConvRows(xhC, g, xh)
+					PackConvRows(xlC, g, xl)
+					wh := NewBitplanes(outC, rows, 2, true)
+					wl := NewBitplanes(outC, rows, 3, true)
+					wh.PackConvWeights(whC, inC, k)
+					wl.PackConvWeights(wlC, inC, k)
+					xhT, xlT := make([]int32, rows*cols), make([]int32, rows*cols)
+					im2colIntT(xhC, g, xhT)
+					im2colIntT(xlC, g, xlT)
+					mask := make([]bool, cols)
+					for j := range mask {
+						mask[j] = true
+					}
+					part := make([]int64, 3*cols)
+					for oc := 0; oc < outC; oc++ {
+						BitplanePartials(part, xh, xl, wh, wl, oc, mask)
+						for j := 0; j < cols; j++ {
+							hl, lh, ll := part[j], part[cols+j], part[2*cols+j]
+							xhRow, xlRow := xhT[j*rows:(j+1)*rows], xlT[j*rows:(j+1)*rows]
+							whRow, wlRow := whC[oc*rows:(oc+1)*rows], wlC[oc*rows:(oc+1)*rows]
+							if hl != scalarDot(xhRow, wlRow) || lh != scalarDot(xlRow, whRow) || ll != scalarDot(xlRow, wlRow) {
+								t.Fatalf("C=%d K=%d s=%d pad=%d j=%d oc=%d: partials (%d,%d,%d) want (%d,%d,%d)",
+									inC, k, stride, pad, j, oc, hl, lh, ll,
+									scalarDot(xhRow, wlRow), scalarDot(xlRow, whRow), scalarDot(xlRow, wlRow))
 							}
 						}
-						PutUint64(xh.Data)
-						PutUint64(xl.Data)
 					}
+					PutUint64(xh.Data)
+					PutUint64(xl.Data)
 				}
 			}
 		}
@@ -324,7 +318,7 @@ func TestPackConvRowsParity(t *testing.T) {
 // K 1–5, stride 1–3, pad 0–2, H and W 1–32 (at most 12 once C·H·W
 // passes 2^14, to keep each input cheap), 1–15 planes and either
 // signedness. Rows packed over poisoned scratch, times weight rows of the
-// same plane count through BitplaneMulRow, must equal the scalar dots of
+// same plane count through rowProducts, must equal the scalar dots of
 // the im2colIntT oracle.
 func FuzzPackConvRows(f *testing.F) {
 	// Arguments are (seed, C-1, K-1, stride-1, pad, H-1, W-1, planes-1,
@@ -372,7 +366,7 @@ func FuzzPackConvRows(f *testing.F) {
 		wbp.PackConvWeights(wc, inC, kk)
 		dst := make([]int64, cols)
 		for oc := 0; oc < outC; oc++ {
-			BitplaneMulRow(dst, wbp, oc, xbp)
+			rowProducts(dst, wbp, oc, xbp)
 			for j := 0; j < cols; j++ {
 				if want := scalarDot(wc[oc*rows:(oc+1)*rows], xT[j*rows:(j+1)*rows]); dst[j] != want {
 					t.Fatalf("C=%d K=%d s=%d pad=%d %dx%d planes=%d signed=%v oc=%d j=%d: got %d want %d",
@@ -382,6 +376,19 @@ func FuzzPackConvRows(f *testing.F) {
 		}
 		PutUint64(xbp.Data)
 	})
+}
+
+// rowProducts sets dst[j] = dot(a[ra], b[j]) for every row j of b: through
+// BitplaneMulRow on 2×2 planes, the one geometry it runs, and through
+// BitplaneDot on any other, so the packer tests reach every plane count.
+func rowProducts(dst []int64, a *Bitplanes, ra int, b *Bitplanes) {
+	if a.P == 2 && b.P == 2 {
+		BitplaneMulRow(dst, a, ra, b)
+		return
+	}
+	for j := 0; j < b.R; j++ {
+		dst[j] = BitplaneDot(a, ra, b, j)
+	}
 }
 
 // poisonedBitplanes returns a Bitplanes over pooled scratch filled with
@@ -633,7 +640,7 @@ func checkBitplaneKernels(t *testing.T) {
 // pointers, so the check must come before it runs.
 func TestBitplaneKernelsShortData(t *testing.T) {
 	defer func(v bool) { useAsmPopcnt = v }(useAsmPopcnt)
-	const rows, lanes, poison = 16, 100, int64(-7)
+	const rows, lanes = 16, 100
 	mask := make([]bool, rows)
 	for i := range mask {
 		mask[i] = true
@@ -657,23 +664,81 @@ func TestBitplaneKernelsShortData(t *testing.T) {
 				op := []*Bitplanes{NewBitplanes(rows, lanes, 2, false), NewBitplanes(rows, lanes, 3, true),
 					NewBitplanes(2, lanes, 2, true), NewBitplanes(2, lanes, 3, true)}
 				op[short].Data = op[short].Data[:len(op[short].Data)-1]
-				for i := range dst {
-					dst[i] = poison
-				}
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Errorf("vector=%v %s: operand %d one word short did not panic", vector, c.name, short)
-						}
-					}()
-					c.kern(op[0], op[1], op[2], op[3])
-				}()
-				for i, v := range dst {
-					if v != poison {
-						t.Fatalf("vector=%v %s: operand %d one word short, dst[%d] written before the panic", vector, c.name, short, i)
-					}
-				}
+				panicsBeforeWrite(t, fmt.Sprintf("vector=%v %s: operand %d one word short", vector, c.name, short), dst,
+					func() { c.kern(op[0], op[1], op[2], op[3]) })
 			}
+		}
+	}
+}
+
+// panicsBeforeWrite fails t unless kern panics, and if kern wrote any
+// entry of dst first; dst is poisoned before the call.
+func panicsBeforeWrite(t *testing.T, label string, dst []int64, kern func()) {
+	t.Helper()
+	const poison = int64(-7)
+	for i := range dst {
+		dst[i] = poison
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: did not panic", label)
+			}
+		}()
+		kern()
+	}()
+	for i, v := range dst {
+		if v != poison {
+			t.Fatalf("%s: dst[%d] written before the panic", label, i)
+		}
+	}
+}
+
+// TestBitplaneKernelsOtherSplitsPanic checks that both row calls, on each
+// kernel set, run only the 4/2 split's planes: the predictor row on 2×2
+// planes and the executor row on 2-plane unsigned xh, 2-plane signed wh
+// and 3-plane signed xl and wl. Any other plane count or signedness must
+// panic before anything is written: core runs every other split on the
+// int-GEMM path.
+func TestBitplaneKernelsOtherSplitsPanic(t *testing.T) {
+	defer func(v bool) { useAsmPopcnt = v }(useAsmPopcnt)
+	const rows, lanes = 16, 100
+	mask := make([]bool, rows)
+	for i := range mask {
+		mask[i] = true
+	}
+	dst := make([]int64, 3*rows)
+	type planes struct {
+		p      int
+		signed bool
+	}
+	pack := func(r int, pl planes) *Bitplanes { return NewBitplanes(r, lanes, pl.p, pl.signed) }
+	type call struct {
+		name string
+		kern func()
+	}
+	var calls []call
+	for _, pair := range [][2]planes{{{4, true}, {4, false}}, {{2, true}, {3, false}}, {{3, true}, {2, false}}, {{1, true}, {2, false}}} {
+		wh, xh := pack(2, pair[0]), pack(rows, pair[1])
+		calls = append(calls, call{fmt.Sprintf("BitplaneMulRow %v", pair), func() { BitplaneMulRow(dst, wh, 1, xh) }})
+	}
+	for _, g := range [][4]planes{ // xh, xl, wh, wl
+		{{4, false}, {5, true}, {4, true}, {5, true}},  // the 8/4 split
+		{{3, false}, {4, true}, {3, true}, {4, true}},  // 6/3
+		{{2, true}, {3, true}, {2, true}, {3, true}},   // signed xh
+		{{2, false}, {3, true}, {2, false}, {3, true}}, // unsigned wh
+		{{2, false}, {2, true}, {2, true}, {3, true}},  // 2-plane xl
+	} {
+		xh, xl, wh, wl := pack(rows, g[0]), pack(rows, g[1]), pack(2, g[2]), pack(2, g[3])
+		calls = append(calls, call{fmt.Sprintf("BitplanePartials %v", g), func() { BitplanePartials(dst, xh, xl, wh, wl, 1, mask) }})
+	}
+	for _, vector := range []bool{true, false} {
+		if vector && !haveAVX512Popcnt {
+			continue
+		}
+		useAsmPopcnt = vector
+		for _, c := range calls {
+			panicsBeforeWrite(t, fmt.Sprintf("vector=%v %s", vector, c.name), dst, c.kern)
 		}
 	}
 }

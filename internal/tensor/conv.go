@@ -99,12 +99,11 @@ func ConvGemmNT(gs, x []float32, g ConvGeom, dw []float32) {
 }
 
 // ConvGemmInt computes acc = w·im2col(x) over int32 codes with int64
-// accumulation: w holds m weight rows of C·K·K codes, x is one sample's
-// [C,H,W] codes and acc the m×(OH·OW) result. m may exceed g.OutC, which
-// stacks several weight matrices against the one input and packs its B
-// panels once for all of them. Like GemmInt it is bit-exact.
-func ConvGemmInt(w, x []int32, g ConvGeom, acc []int64, m int) {
-	k, n := g.ColRows(), g.ColCols()
+// accumulation: w holds OutC weight rows of C·K·K codes, x is one
+// sample's [C,H,W] codes and acc the OutC×(OH·OW) result. Like GemmInt it
+// is bit-exact.
+func ConvGemmInt(w, x []int32, g ConvGeom, acc []int64) {
+	m, k, n := g.OutC, g.ColRows(), g.ColCols()
 	if len(w) < m*k || len(x) < g.InC*g.InH*g.InW || len(acc) < m*n {
 		panic("tensor: ConvGemmInt buffer too small")
 	}

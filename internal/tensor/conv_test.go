@@ -73,8 +73,8 @@ func poisonPools(n int) {
 }
 
 // checkConvGemm compares ConvGemm (with and without bias), ConvGemmNT
-// and ConvGemmInt with m = 2·OutC stacked rows against the im2col
-// oracle, floats by their bits and ints by ==.
+// and ConvGemmInt against the im2col oracle, floats by their bits and
+// ints by ==.
 func checkConvGemm(t *testing.T, g ConvGeom, seed int64) {
 	t.Helper()
 	rng := NewRNG(seed)
@@ -89,7 +89,7 @@ func checkConvGemm(t *testing.T, g ConvGeom, seed int64) {
 	fillRandF32(rng, gs)
 	xi := make([]int32, len(x))
 	fillRandI32(rng, xi)
-	wi := make([]int32, 2*g.OutC*rows)
+	wi := make([]int32, g.OutC*rows)
 	fillRandI32(rng, wi)
 	poisonPools(min(gemmKC, rows) * min(gemmNC, roundUp(cols, gemmNR)))
 	poisonPools(min(gemmKC, cols) * min(gemmNC, roundUp(rows, gemmNR)))
@@ -125,7 +125,7 @@ func checkConvGemm(t *testing.T, g ConvGeom, seed int64) {
 	GemmNT(gs, colsM, want, g.OutC, cols, rows)
 	sameF32("ConvGemmNT", got, want)
 
-	m := 2 * g.OutC
+	m := g.OutC
 	colsI := make([]int32, rows*cols)
 	Im2colInt(xi, g, colsI)
 	gotI := GetInt64(m * cols)
@@ -133,11 +133,11 @@ func checkConvGemm(t *testing.T, g ConvGeom, seed int64) {
 		gotI[i] = math.MaxInt64
 	}
 	wantI := make([]int64, m*cols)
-	ConvGemmInt(wi, xi, g, gotI, m)
+	ConvGemmInt(wi, xi, g, gotI)
 	GemmInt(wi, colsI, wantI, m, rows, cols)
 	for i := range wantI {
 		if gotI[i] != wantI[i] {
-			t.Fatalf("%+v ConvGemmInt m=%d: element %d: got %d want %d", g, m, i, gotI[i], wantI[i])
+			t.Fatalf("%+v ConvGemmInt: element %d: got %d want %d", g, i, gotI[i], wantI[i])
 		}
 	}
 	PutInt64(gotI)
@@ -255,10 +255,10 @@ func TestCol2imMatchesElementLoop(t *testing.T) {
 	}
 }
 
-// FuzzConvGemm checks ConvGemm, ConvGemmNT and ConvGemmInt (m = 2·OutC)
-// over drawn geometries against the im2col oracle, bit for bit: C 1–40,
-// H and W 1–48, OutC 1–32, K 1–5, stride 1–3 and pad 0–2, with H and W
-// cut to 16 once the im2col matrix passes 2^19 values. The draws reach
+// FuzzConvGemm checks ConvGemm, ConvGemmNT and ConvGemmInt over drawn
+// geometries against the im2col oracle, bit for bit: C 1–40, H and W
+// 1–48, OutC 1–32, K 1–5, stride 1–3 and pad 0–2, with H and W cut to 16
+// once the im2col matrix passes 2^19 values. The draws reach
 // panels that straddle output rows, C·K·K > 256 (two kc blocks) and
 // OH·OW > 1024 (two NC blocks).
 func FuzzConvGemm(f *testing.F) {

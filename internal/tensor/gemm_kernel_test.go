@@ -392,7 +392,7 @@ func TestGemmDegenerateShapes(t *testing.T) {
 		ConvGemmNT(a, b, geom(0, 2, 2), c)
 		ci := []int64{42, 42}
 		GemmInt(ai, bi, ci, 0, 2, 2)
-		ConvGemmInt(ai, bi, geom(0, 2, 2), ci, 0)
+		ConvGemmInt(ai, bi, geom(0, 2, 2), ci)
 		if c[0] != 42 || ci[0] != 42 {
 			t.Fatalf("m=0 must leave C untouched, got %v %v", c, ci)
 		}
@@ -406,7 +406,7 @@ func TestGemmDegenerateShapes(t *testing.T) {
 		ConvGemmNT(a, b, geom(2, 0, 2), c) // dW: n = C·K·K = 0 taps
 		ci := []int64{42, 42}
 		GemmInt(ai, bi, ci, 2, 2, 0)
-		ConvGemmInt(ai, bi, geom(2, 2, 0), ci, 2)
+		ConvGemmInt(ai, bi, geom(2, 2, 0), ci)
 		if c[0] != 42 || ci[0] != 42 {
 			t.Fatalf("n=0 must leave C untouched, got %v %v", c, ci)
 		}
@@ -443,7 +443,7 @@ func TestGemmDegenerateShapes(t *testing.T) {
 			t.Fatalf("GemmInt k=0 must zero C, got %v", ci)
 		}
 		ci = []int64{42, 42, 42, 42}
-		ConvGemmInt(ai, bi, geom(2, 0, 2), ci, 2)
+		ConvGemmInt(ai, bi, geom(2, 0, 2), ci)
 		if ci[0] != 0 || ci[3] != 0 {
 			t.Fatalf("ConvGemmInt k=0 must zero C, got %v", ci)
 		}
@@ -455,7 +455,7 @@ func TestGemmDegenerateShapes(t *testing.T) {
 		GemmInt(nil, nil, nil, 0, 0, 0)
 		ConvGemm(nil, nil, ConvGeom{}, nil, nil)
 		ConvGemmNT(nil, nil, ConvGeom{}, nil)
-		ConvGemmInt(nil, nil, ConvGeom{}, nil, 0)
+		ConvGemmInt(nil, nil, ConvGeom{}, nil)
 	})
 }
 
@@ -599,8 +599,8 @@ func TestGemmSerialNoAlloc(t *testing.T) {
 	fillRandF32(rng, w)
 	gi := Geometry(8, 32, 32, 8, 3, 1, 1)
 	xi := randCodes(rng, gi.InC*gi.InH*gi.InW, 2, false)
-	wi := randCodes(rng, 2*gi.OutC*gi.ColRows(), 3, true)
-	acc := make([]int64, 2*gi.OutC*gi.ColCols())
+	wi := randCodes(rng, gi.OutC*gi.ColRows(), 3, true)
+	acc := make([]int64, gi.OutC*gi.ColCols())
 	const m = 128
 	a, b := randCodes(rng, m*m, 4, true), randCodes(rng, m*m, 4, true)
 	c := make([]int64, m*m)
@@ -610,7 +610,7 @@ func TestGemmSerialNoAlloc(t *testing.T) {
 	}{
 		{"ConvGemm", func() { ConvGemm(w, x, g, out, nil) }},
 		{"ConvGemmNT", func() { ConvGemmNT(out, x, g, w) }},
-		{"ConvGemmInt", func() { ConvGemmInt(wi, xi, gi, acc, 2*gi.OutC) }},
+		{"ConvGemmInt", func() { ConvGemmInt(wi, xi, gi, acc) }},
 		{"GemmInt", func() { GemmInt(a, b, c, m, m, m) }},
 	} {
 		tc.run() // warm the scratch pools

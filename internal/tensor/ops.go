@@ -41,17 +41,6 @@ func (t *Tensor) AddScaled(s float32, o *Tensor) {
 	}
 }
 
-// Clamp limits every element to [lo, hi].
-func (t *Tensor) Clamp(lo, hi float32) {
-	for i, v := range t.Data {
-		if v < lo {
-			t.Data[i] = lo
-		} else if v > hi {
-			t.Data[i] = hi
-		}
-	}
-}
-
 // ReLU applies max(0, x) in place.
 func (t *Tensor) ReLU() {
 	for i, v := range t.Data {

@@ -60,14 +60,6 @@ func PackI4Into(codes []uint8, dst []uint8) {
 	}
 }
 
-// UnpackInt expands the codes to a widened int32 IntTensor with the given
-// scale (the executors pass the activation grid step, 1/15).
-func (p *PackedI4) UnpackInt(scale float32) *IntTensor {
-	out := NewInt(4, scale, p.Shape...)
-	unpackNibbles(p.Data, 0, out.Data)
-	return out
-}
-
 // UnpackIntInto writes codes first .. first+len(dst)-1 into dst
 // (caller-provided, typically pooled scratch). An odd first starts in a
 // high nibble, so each sample of a packed batch unpacks on its own.

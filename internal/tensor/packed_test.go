@@ -23,12 +23,6 @@ func TestPackedI4RoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: At(%d)=%d want %d", n, i, p.At(i), codes[i])
 			}
 		}
-		it := p.UnpackInt(1.0 / 15)
-		for i := range codes {
-			if it.Data[i] != int32(codes[i]) {
-				t.Fatalf("n=%d: UnpackInt[%d]=%d want %d", n, i, it.Data[i], codes[i])
-			}
-		}
 		for first := 0; first <= n; first++ {
 			for end := first; end <= n; end++ {
 				dst := make([]int32, end-first)

@@ -11,7 +11,7 @@ func TestNewShapeAndLen(t *testing.T) {
 	if x.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", x.Len())
 	}
-	if x.Rank() != 3 || x.Dim(1) != 3 {
+	if x.Rank() != 3 || x.Shape[1] != 3 {
 		t.Fatalf("bad shape bookkeeping: %v", x.Shape)
 	}
 	for _, v := range x.Data {
@@ -112,11 +112,6 @@ func TestElementwiseOps(t *testing.T) {
 }
 
 func TestClampAndReLU(t *testing.T) {
-	x := NewFrom([]float32{-2, 0.5, 3}, 3)
-	x.Clamp(0, 1)
-	if x.Data[0] != 0 || x.Data[1] != 0.5 || x.Data[2] != 1 {
-		t.Fatalf("Clamp result %v", x.Data)
-	}
 	y := NewFrom([]float32{-1, 2}, 2)
 	y.ReLU()
 	if y.Data[0] != 0 || y.Data[1] != 2 {

@@ -143,7 +143,7 @@ func TestTelemetrySensitivityRatio(t *testing.T) {
 	conv, x := benchConvLayer()
 	for _, p := range odqBenchGrid {
 		// Bisect with telemetry off so probe runs don't pollute the ratio.
-		th := thresholdForSensitivity(conv, x, p.target)
+		th := thresholdForSensitivity(conv, x, p.target, nil)
 		t.Run(p.name, func(t *testing.T) {
 			withTelemetry(t)
 			e := core.NewExec(th, core.WithProfiling())
@@ -224,11 +224,11 @@ func TestTelemetryODQConvCounters(t *testing.T) {
 		}
 	}
 
-	// At threshold 0 every output is sensitive. On the paper-default 4/2
-	// split the executor still runs its fused bitplane row kernels and no
-	// GEMM; on a split they do not fuse (8/4) it takes its int-GEMM
-	// branch, which routes through the blocked GEMM kernels and must keep
-	// emitting their spans. Neither depends on the host's kernel set.
+	// At threshold 0 every output is sensitive. The paper's 4/2 split
+	// still runs the bitplane row kernels and no GEMM; every other split
+	// (here 8/4) runs the int-GEMM path, which routes through the blocked
+	// GEMM kernels and must keep emitting their spans. Neither depends on
+	// the host's kernel set.
 	spanNames := func(opts ...core.Option) map[string]bool {
 		r.ResetSpans()
 		conv.Exec = core.NewExec(0, opts...)
@@ -246,7 +246,7 @@ func TestTelemetryODQConvCounters(t *testing.T) {
 			t.Fatalf("all-sensitive 4/2 ODQ conv ran span %q (have %v)", want, fused)
 		}
 		if !gemm[want] {
-			t.Fatalf("int-GEMM branch trace missing span %q (have %v)", want, gemm)
+			t.Fatalf("int-GEMM path trace missing span %q (have %v)", want, gemm)
 		}
 	}
 }
